@@ -1,14 +1,15 @@
 // Ingestion-service throughput: reports/sec through ShardedAggregator as a
 // function of shard count, the wire-codec encode/decode rates, and the
 // full network path — framed batches over TCP/UDS loopback through
-// ReportServer, in-memory and with durability on (kFull + group commit).
+// ReportServer, in-memory and into fsync'd epochs (kFull + group commit).
 //
 //   ./bench_ingest --benchmark_counters_tabular=true
 //
 // The acceptance metric for the server subsystem is BM_ShardedIngest at
 // shard counts {1, 2, 4, 8}: items_per_second is ingested reports/sec.
 // For the network front-end it is BM_NetIngestDurable: reports/sec over
-// loopback with every epoch checkpoint fsync'd.
+// loopback with every epoch checkpoint fsync'd (frames are acked before
+// their epoch is; see that benchmark's comment).
 
 #include <benchmark/benchmark.h>
 
@@ -210,11 +211,14 @@ void BM_NetIngestUds(benchmark::State& state) { NetIngest(state, true); }
 BENCHMARK(BM_NetIngestUds)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// The acceptance column: loopback TCP with durability all the way on —
-// EpochManager epochs checkpointed through a CheckpointStore in
-// SyncMode::kFull with group commit, an fsync'd snapshot every 2^15
-// reports plus the final Close. sink_threads = 1 because EpochManager's
-// control surface is single-threaded.
+// The acceptance column: loopback TCP into EpochManager epochs
+// checkpointed through a CheckpointStore in SyncMode::kFull, an fsync'd
+// snapshot every 2^15 reports plus the final Close. Durability is not all
+// the way on: SubmitWire acks a frame once its reports are queued in
+// memory, before their epoch is fsync'd, so a crash loses the acked
+// reports of the open epoch. The store also turns on group_commit, which
+// CheckpointStoreOptions leaves off by default. sink_threads = 1 because
+// EpochManager's control surface is single-threaded.
 void BM_NetIngestDurable(benchmark::State& state) {
   const int clients = static_cast<int>(state.range(0));
   const std::string dir = fs::temp_directory_path().string() +

@@ -2,13 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
+#include <limits>
 #include <unordered_set>
-
-#include "src/common/math_util.h"
-#include "src/common/timer.h"
-#include "src/freq/hadamard_response.h"
-#include "src/hashing/kwise_hash.h"
 
 namespace ldphh {
 
@@ -26,9 +21,6 @@ StatusOr<Bitstogram> Bitstogram::Create(const BitstogramParams& params) {
   if (p.cohorts == 0) {
     p.cohorts = std::max(1, static_cast<int>(std::ceil(std::log2(1.0 / p.beta))));
   }
-  if (p.num_shards < 1 || p.num_shards > 256) {
-    return Status::InvalidArgument("Bitstogram: num_shards must be in [1, 256]");
-  }
   return Bitstogram(p);
 }
 
@@ -42,151 +34,31 @@ double Bitstogram::DetectionThreshold(uint64_t n) const {
 
 StatusOr<HeavyHitterResult> Bitstogram::Run(
     const std::vector<DomainItem>& database, uint64_t seed) {
-  const uint64_t n = database.size();
-  if (n < 16) return Status::InvalidArgument("Bitstogram: need >= 16 users");
-
-  const int d_bits = params_.domain_bits;
-  const int rho = params_.cohorts;
-  const double eps_half = params_.epsilon / 2.0;
-
-  int y_range = params_.hash_range;
-  if (y_range == 0) {
-    y_range = static_cast<int>(
-        NextPow2(static_cast<uint64_t>(2.0 * std::sqrt(static_cast<double>(n)))));
+  if (database.size() < 16) {
+    return Status::InvalidArgument("Bitstogram: need >= 16 users");
   }
-
-  Rng master(seed);
-  const uint64_t hash_seed = master();
-  const uint64_t group_seed = master();
-  const uint64_t global_seed = master();
-  Rng user_coins(master());
-
-  // Public randomness: one pairwise hash per cohort.
-  HashFamily cohort_hash(rho, /*k=*/2, static_cast<uint64_t>(y_range), hash_seed);
-
-  // One small-domain oracle per (cohort, bit position) over [Yb] x {0,1}.
-  const int num_groups = rho * d_bits;
-  auto make_cell_fos = [&] {
-    std::vector<HadamardResponseFO> fos;
-    fos.reserve(static_cast<size_t>(num_groups));
-    for (int q = 0; q < num_groups; ++q) {
-      fos.emplace_back(static_cast<uint64_t>(y_range) * 2, eps_half);
-    }
-    return fos;
-  };
-  std::vector<HadamardResponseFO> cell_fo = make_cell_fos();
-
-  HashtogramParams ht_params = params_.global_fo;
-  if (ht_params.beta <= 0.0) ht_params.beta = params_.beta;
-  Hashtogram global_fo(n, eps_half, ht_params, global_seed);
-
-  HeavyHitterResult result;
-  result.metrics.num_users = n;
-
-  struct UserReport {
-    int group;
-    FoReport cell;
-    FoReport global;
-  };
-  std::vector<UserReport> reports(static_cast<size_t>(n));
-
-  Timer user_timer;
-  for (uint64_t i = 0; i < n; ++i) {
-    const DomainItem& x = database[i];
-    const int q = static_cast<int>(Mix64(group_seed ^ i) %
-                                   static_cast<uint64_t>(num_groups));
-    const int c = q / d_bits;
-    const int j = q % d_bits;
-    const uint64_t y = cohort_hash.at(c)(x);
-    const uint64_t cell = y * 2 + static_cast<uint64_t>(x.Bit(j));
-    UserReport& r = reports[static_cast<size_t>(i)];
-    r.group = q;
-    r.cell = cell_fo[static_cast<size_t>(q)].Encode(cell, user_coins);
-    r.global = global_fo.Encode(i, x, user_coins);
-  }
-  result.metrics.user_seconds_total = user_timer.Seconds();
-  for (const auto& r : reports) {
-    const uint64_t bits =
-        static_cast<uint64_t>(r.cell.num_bits + r.global.num_bits);
-    result.metrics.comm_bits_total += bits;
-    result.metrics.comm_bits_max_user =
-        std::max(result.metrics.comm_bits_max_user, bits);
-  }
-
-  Timer server_timer;
-  const int num_shards = params_.num_shards;
-  if (num_shards <= 1) {
-    for (uint64_t i = 0; i < n; ++i) {
-      const auto& r = reports[static_cast<size_t>(i)];
-      cell_fo[static_cast<size_t>(r.group)].Aggregate(r.cell);
-      global_fo.Aggregate(i, r.global);
-    }
-  } else {
-    // Sharded server: strided slices into per-worker oracle replicas,
-    // merged exactly afterwards (see treehist.cc for the argument).
-    struct Replica {
-      std::vector<HadamardResponseFO> cell;
-      Hashtogram global;
-    };
-    std::vector<Replica> replicas;
-    replicas.reserve(static_cast<size_t>(num_shards - 1));
-    for (int s = 1; s < num_shards; ++s) {
-      replicas.push_back(Replica{make_cell_fos(),
-                                 Hashtogram(n, eps_half, ht_params, global_seed)});
-    }
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(num_shards));
-    for (int s = 0; s < num_shards; ++s) {
-      workers.emplace_back([&, s] {
-        auto& cf = (s == 0) ? cell_fo : replicas[static_cast<size_t>(s - 1)].cell;
-        auto& gf = (s == 0) ? global_fo : replicas[static_cast<size_t>(s - 1)].global;
-        for (uint64_t i = static_cast<uint64_t>(s); i < n;
-             i += static_cast<uint64_t>(num_shards)) {
-          const auto& r = reports[static_cast<size_t>(i)];
-          cf[static_cast<size_t>(r.group)].Aggregate(r.cell);
-          gf.Aggregate(i, r.global);
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-    for (auto& rep : replicas) {
-      for (int q = 0; q < num_groups; ++q) {
-        LDPHH_RETURN_IF_ERROR(cell_fo[static_cast<size_t>(q)].Merge(
-            rep.cell[static_cast<size_t>(q)]));
-      }
-      LDPHH_RETURN_IF_ERROR(global_fo.Merge(rep.global));
-    }
-  }
-  for (auto& fo : cell_fo) fo.Finalize();
-  global_fo.Finalize();
-
-  // Candidate reconstruction: per cohort, per hash value, majority bit at
-  // every position; keep hash values whose support count stands out.
-  const double e = std::exp(eps_half);
-  const double c_eps = (e + 1.0) / (e - 1.0);
-  const double count_sd = c_eps * std::sqrt(2.0 * static_cast<double>(n) /
-                                            static_cast<double>(rho));
-  const double tau = params_.threshold_sigmas * count_sd;
-  const std::vector<DomainItem> recovered = BitstogramRecoverCandidates(
-      cell_fo, cohort_hash, rho, d_bits, y_range, params_.list_cap_per_cohort,
-      tau);
-
-  result.entries.reserve(recovered.size());
-  for (const DomainItem& x : recovered) {
-    result.entries.push_back(HeavyHitterEntry{x, global_fo.Estimate(x)});
-  }
-  std::sort(result.entries.begin(), result.entries.end(),
-            [](const HeavyHitterEntry& a, const HeavyHitterEntry& b) {
-              return a.estimate > b.estimate;
-            });
-  result.metrics.server_seconds = server_timer.Seconds();
-
-  size_t mem = global_fo.MemoryBytes();
-  for (const auto& fo : cell_fo) mem += fo.MemoryBytes();
-  result.metrics.server_memory_bytes = mem;
+  ProtocolConfig config("bitstogram");
+  config.SetUint("domain_bits", static_cast<uint64_t>(params_.domain_bits))
+      .SetDouble("eps", params_.epsilon)
+      .SetDouble("beta", params_.beta)
+      .SetUint("n_hint", database.size())
+      .SetUint("seed", seed)
+      .SetUint("hash_range", static_cast<uint64_t>(params_.hash_range))
+      .SetUint("cohorts", static_cast<uint64_t>(params_.cohorts))
+      .SetDouble("threshold_sigmas", params_.threshold_sigmas)
+      .SetUint("list_cap", static_cast<uint64_t>(params_.list_cap_per_cohort));
+  ProtocolConfig resolved;
+  auto result_or = RunServedProtocol(config, database, seed,
+                                     std::numeric_limits<size_t>::max(),
+                                     &resolved);
+  LDPHH_RETURN_IF_ERROR(result_or.status());
+  HeavyHitterResult result = std::move(result_or).value();
+  // Public randomness a user consumes, in 61-bit field elements: the cohort
+  // hashes, the global Hashtogram row hashes, and the group-assignment word.
   result.metrics.public_random_bits_per_user =
-      (static_cast<uint64_t>(2 * rho + 4) + 6 * global_fo.rows() + 1) * 61;
-
+      (2 * resolved.GetUintOr("cohorts", 0) + 4 +
+       6 * resolved.GetUintOr("fo_rows", 0) + 1) *
+      61;
   return result;
 }
 

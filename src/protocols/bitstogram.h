@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "src/freq/hadamard_response.h"
-#include "src/freq/hashtogram.h"
+#include "src/hashing/kwise_hash.h"
 #include "src/protocols/heavy_hitters.h"
 
 namespace ldphh {
@@ -33,16 +33,10 @@ struct BitstogramParams {
   int cohorts = 0;      ///< rho; 0 = auto max(1, ceil(log2(1/beta))).
   double threshold_sigmas = 4.0;
   int list_cap_per_cohort = 64;
-
-  /// Server aggregation shards (>= 1). With S > 1 the server aggregates
-  /// reports on S threads over per-shard oracle replicas and merges them;
-  /// the result is bit-for-bit identical to the single-threaded run.
-  int num_shards = 1;
-
-  HashtogramParams global_fo;
 };
 
-/// \brief The [3] baseline protocol.
+/// \brief The [3] baseline protocol. `Run` drives the registry's
+/// `bitstogram` aggregator (src/protocols/hh_serving.h) with n_hint = n.
 class Bitstogram final : public HeavyHitterProtocol {
  public:
   static StatusOr<Bitstogram> Create(const BitstogramParams& params);
@@ -66,8 +60,8 @@ class Bitstogram final : public HeavyHitterProtocol {
   BitstogramParams params_;
 };
 
-/// Candidate reconstruction (the server decode step), shared by Run and the
-/// streaming serving aggregator (src/protocols/hh_serving.h): per cohort,
+/// Candidate reconstruction (the server decode step), run by the serving
+/// aggregator's EstimateTopK (src/protocols/hh_serving.h): per cohort,
 /// per hash value, majority bit at every position; keep hash values whose
 /// support count clears \p tau and whose reconstructed item hashes back to
 /// its own cell. \p cell_fo must be finalized, laid out

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/timer.h"
-#include "src/freq/hadamard_response.h"
-
 namespace ldphh {
 
 StatusOr<FreqScan> FreqScan::Create(const FreqScanParams& params) {
@@ -31,59 +28,23 @@ StatusOr<HeavyHitterResult> FreqScan::Run(const std::vector<DomainItem>& databas
                                           uint64_t seed) {
   const uint64_t n = database.size();
   if (n < 16) return Status::InvalidArgument("FreqScan: need >= 16 users");
-  const uint64_t domain = uint64_t{1} << params_.domain_bits;
-
-  Rng master(seed);
-  Rng user_coins(master());
-  HadamardResponseFO fo(domain, params_.epsilon);
-
-  HeavyHitterResult result;
-  result.metrics.num_users = n;
-
-  std::vector<FoReport> reports(static_cast<size_t>(n));
-  Timer user_timer;
-  for (uint64_t i = 0; i < n; ++i) {
-    reports[static_cast<size_t>(i)] =
-        fo.Encode(database[i].limbs[0] & (domain - 1), user_coins);
-  }
-  result.metrics.user_seconds_total = user_timer.Seconds();
-  for (const auto& r : reports) {
-    result.metrics.comm_bits_total += static_cast<uint64_t>(r.num_bits);
-    result.metrics.comm_bits_max_user =
-        std::max(result.metrics.comm_bits_max_user,
-                 static_cast<uint64_t>(r.num_bits));
-  }
-
-  Timer server_timer;
-  for (const auto& r : reports) fo.Aggregate(r);
-  fo.Finalize();
-
+  ProtocolConfig config("hadamard_response");
+  config.SetUint("domain", uint64_t{1} << params_.domain_bits)
+      .SetDouble("eps", params_.epsilon);
+  auto result_or =
+      RunServedProtocol(config, database, seed,
+                        static_cast<size_t>(params_.list_cap),
+                        /*resolved=*/nullptr);
+  LDPHH_RETURN_IF_ERROR(result_or.status());
+  HeavyHitterResult result = std::move(result_or).value();
+  // The top list_cap estimates, kept where they clear the threshold.
   const double tau = DetectionThreshold(n);
-  struct Scored {
-    uint64_t value;
-    double estimate;
-  };
-  std::vector<Scored> hits;
-  for (uint64_t v = 0; v < domain; ++v) {
-    const double est = fo.Estimate(v);
-    if (est >= tau) hits.push_back(Scored{v, est});
-  }
-  if (static_cast<int>(hits.size()) > params_.list_cap) {
-    std::partial_sort(hits.begin(), hits.begin() + params_.list_cap, hits.end(),
-                      [](const Scored& a, const Scored& b) {
-                        return a.estimate > b.estimate;
-                      });
-    hits.resize(static_cast<size_t>(params_.list_cap));
-  }
-  for (const Scored& s : hits) {
-    result.entries.push_back(HeavyHitterEntry{DomainItem(s.value), s.estimate});
-  }
-  std::sort(result.entries.begin(), result.entries.end(),
-            [](const HeavyHitterEntry& a, const HeavyHitterEntry& b) {
-              return a.estimate > b.estimate;
-            });
-  result.metrics.server_seconds = server_timer.Seconds();
-  result.metrics.server_memory_bytes = fo.MemoryBytes();
+  auto& entries = result.entries;
+  entries.erase(std::remove_if(entries.begin(), entries.end(),
+                               [tau](const HeavyHitterEntry& e) {
+                                 return e.estimate < tau;
+                               }),
+                entries.end());
   result.metrics.public_random_bits_per_user = 64;
   return result;
 }

@@ -26,7 +26,8 @@ struct FreqScanParams {
   int list_cap = 1024;
 };
 
-/// \brief Frequency-oracle scan protocol.
+/// \brief Frequency-oracle scan protocol. `Run` drives the registry's
+/// `hadamard_response` aggregator over domain 2^domain_bits.
 class FreqScan final : public HeavyHitterProtocol {
  public:
   static StatusOr<FreqScan> Create(const FreqScanParams& params);

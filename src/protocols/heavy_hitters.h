@@ -1,6 +1,7 @@
 /// \file heavy_hitters.h
-/// \brief The heavy-hitters problem interface (Definition 3.1) and the
-/// evaluation helpers that check a protocol's output against it.
+/// \brief The heavy-hitters problem interface (Definition 3.1), the one
+/// driver every protocol's `Run` goes through, and the evaluation helpers
+/// that check a protocol's output against it.
 
 #ifndef LDPHH_PROTOCOLS_HEAVY_HITTERS_H_
 #define LDPHH_PROTOCOLS_HEAVY_HITTERS_H_
@@ -11,6 +12,7 @@
 #include "src/common/bit_util.h"
 #include "src/common/status.h"
 #include "src/protocols/metrics.h"
+#include "src/protocols/protocol_config.h"
 
 namespace ldphh {
 
@@ -30,6 +32,9 @@ struct HeavyHitterResult {
 ///
 /// `Run` executes the whole protocol over the distributed database: per-user
 /// encoding with per-user private coins, server aggregation, and decoding.
+/// Every implementation maps its parameters to a `ProtocolConfig` and calls
+/// `RunServedProtocol`, so a simulated run executes exactly the registry
+/// `Aggregator` the server runs.
 class HeavyHitterProtocol {
  public:
   virtual ~HeavyHitterProtocol() = default;
@@ -43,6 +48,21 @@ class HeavyHitterProtocol {
   /// The end-to-end privacy parameter.
   virtual double Epsilon() const = 0;
 };
+
+/// \brief Runs the registry protocol \p config over \p database in one shot:
+/// builds the `Aggregator`, encodes user i's item as user index i, aggregates
+/// every report, and decodes the top \p k entries.
+///
+/// Private coins come from a stream forked off \p seed, independent of the
+/// config's public-randomness `seed` key. Metrics: `user_seconds_total` is
+/// the encode loop, the communication counts are the wire reports' widths,
+/// `server_seconds` is aggregation plus decoding, and `server_memory_bytes`
+/// is the size of the aggregator's `SerializeState` snapshot after the last
+/// report — the bytes an epoch persists. \p resolved (optional) receives the
+/// aggregator's fully resolved config.
+StatusOr<HeavyHitterResult> RunServedProtocol(
+    const ProtocolConfig& config, const std::vector<DomainItem>& database,
+    uint64_t seed, size_t k, ProtocolConfig* resolved);
 
 /// Evaluation of a result against the true frequencies (Definition 3.1).
 struct HeavyHitterEval {

@@ -3,10 +3,12 @@
 /// protocols, so the server stack serves them exactly like a frequency
 /// oracle.
 ///
-/// The batch `HeavyHitterProtocol::Run` simulations execute a whole
-/// protocol in one call; a serving deployment instead streams one
-/// `WireReport` per user through `ShardedAggregator`/`EpochManager`. These
-/// implementations split each protocol at the paper's natural seam:
+/// These classes are the only implementation of each protocol. A serving
+/// deployment streams one `WireReport` per user through
+/// `ShardedAggregator`/`EpochManager`; the one-shot `HeavyHitterProtocol::Run`
+/// of the paper experiments drives the same aggregator through
+/// `RunServedProtocol` (heavy_hitters.h). They split each protocol at the
+/// paper's natural seam:
 ///
 ///   - All public randomness (hashes, codes, group assignment) derives from
 ///     the config's `seed`, so clients and any number of server instances

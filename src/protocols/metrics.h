@@ -21,7 +21,7 @@ struct ProtocolMetrics {
   uint64_t comm_bits_total = 0;      ///< Total bits users sent.
   uint64_t comm_bits_max_user = 0;   ///< Max bits any single user sent.
   uint64_t public_random_bits_per_user = 0;  ///< Seed words the user expands.
-  size_t server_memory_bytes = 0;    ///< Peak accounted server structures.
+  size_t server_memory_bytes = 0;    ///< Serialized aggregation state.
   uint64_t num_users = 0;
 
   double UserSecondsAvg() const {

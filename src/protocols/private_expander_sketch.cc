@@ -2,13 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
+#include <limits>
 #include <unordered_set>
-
-#include "src/common/math_util.h"
-#include "src/common/timer.h"
-#include "src/freq/hadamard_response.h"
-#include "src/hashing/kwise_hash.h"
 
 namespace ldphh {
 
@@ -24,9 +19,8 @@ int AutoNumCoords(int domain_bits) {
 }  // namespace
 
 PrivateExpanderSketch::PrivateExpanderSketch(const PesParams& params,
-                                             UrlCodeParams code_params,
                                              int payload_bits)
-    : params_(params), code_params_(code_params), payload_bits_(payload_bits) {}
+    : params_(params), payload_bits_(payload_bits) {}
 
 StatusOr<PrivateExpanderSketch> PrivateExpanderSketch::Create(
     const PesParams& params) {
@@ -42,9 +36,6 @@ StatusOr<PrivateExpanderSketch> PrivateExpanderSketch::Create(
   }
   if (p.num_coords == 0) p.num_coords = AutoNumCoords(p.domain_bits);
   if (p.list_cap == 0) p.list_cap = 4 * p.domain_bits;
-  if (p.num_shards < 1 || p.num_shards > 256) {
-    return Status::InvalidArgument("PES: num_shards must be in [1, 256]");
-  }
 
   UrlCodeParams cp;
   cp.domain_bits = p.domain_bits;
@@ -56,16 +47,7 @@ StatusOr<PrivateExpanderSketch> PrivateExpanderSketch::Create(
   // code is seeded from the run seed).
   auto probe = UrlCode::Create(cp, /*seed=*/1);
   if (!probe.ok()) return probe.status();
-  return PrivateExpanderSketch(p, cp, probe.value().PayloadBits());
-}
-
-int PrivateExpanderSketch::ResolveBuckets(uint64_t n) const {
-  if (params_.num_buckets > 0) return params_.num_buckets;
-  const double logx = static_cast<double>(params_.domain_bits);
-  const double b = params_.bucket_mult * params_.epsilon *
-                   std::sqrt(static_cast<double>(n)) /
-                   (10.0 * std::pow(logx, 1.5));
-  return std::max(1, static_cast<int>(std::llround(b)));
+  return PrivateExpanderSketch(p, probe.value().PayloadBits());
 }
 
 double PrivateExpanderSketch::DetectionThreshold(uint64_t n) const {
@@ -78,186 +60,42 @@ double PrivateExpanderSketch::DetectionThreshold(uint64_t n) const {
 
 StatusOr<HeavyHitterResult> PrivateExpanderSketch::Run(
     const std::vector<DomainItem>& database, uint64_t seed) {
-  const uint64_t n = database.size();
-  if (n < 16) return Status::InvalidArgument("PES: need at least 16 users");
-
-  const int m_count = params_.num_coords;
-  const int y_range = params_.hash_range;
-  const int b_count = ResolveBuckets(n);
-  const double eps_half = params_.epsilon / 2.0;
-
-  Rng master(seed);
-  const uint64_t code_seed = master();
-  const uint64_t bucket_seed = master();
-  const uint64_t group_seed = master();
-  const uint64_t global_seed = master();
-  Rng user_coins(master());
-  Rng decode_rng(master());
-
-  // --- Public randomness ----------------------------------------------
-  auto code_or = UrlCode::Create(code_params_, code_seed);
-  if (!code_or.ok()) return code_or.status();
-  const UrlCode code = std::move(code_or).value();
-  const int lz = code.PayloadBits();
-  const int num_groups = m_count * lz;
-
-  // Bucket hash g: (Cg log|X|)-wise independent; degree capped at 64 to
-  // keep the per-user evaluation O~(1) in practice.
-  Rng bucket_rng(bucket_seed);
-  const int g_independence = std::min(64, 2 * params_.domain_bits);
-  KWiseHash bucket_hash(g_independence, static_cast<uint64_t>(b_count),
-                        bucket_rng);
-
-  // Per-(m, j) small-domain oracles (Theorem 3.8) over [B] x [Y] x {0,1}.
-  const uint64_t cell_domain =
-      static_cast<uint64_t>(b_count) * static_cast<uint64_t>(y_range) * 2;
-  auto make_cell_fos = [&] {
-    std::vector<HadamardResponseFO> fos;
-    fos.reserve(static_cast<size_t>(num_groups));
-    for (int q = 0; q < num_groups; ++q) {
-      fos.emplace_back(cell_domain, eps_half);
-    }
-    return fos;
-  };
-  std::vector<HadamardResponseFO> cell_fo = make_cell_fos();
-
-  // Global Hashtogram (Theorem 3.7) for step 5.
-  HashtogramParams ht_params = params_.global_fo;
-  if (ht_params.beta <= 0.0) ht_params.beta = params_.beta;
-  Hashtogram global_fo(n, eps_half, ht_params, global_seed);
-
-  HeavyHitterResult result;
-  result.metrics.num_users = n;
-
-  // --- Client side -------------------------------------------------------
-  // Reports are buffered so user and server time are measured separately.
-  struct UserReport {
-    int group;
-    FoReport cell;
-    FoReport global;
-  };
-  std::vector<UserReport> reports(static_cast<size_t>(n));
-
-  Timer user_timer;
-  for (uint64_t i = 0; i < n; ++i) {
-    const DomainItem& x = database[i];
-    const int q = static_cast<int>(Mix64(group_seed ^ i) %
-                                   static_cast<uint64_t>(num_groups));
-    const int m = q / lz;
-    const int j = q % lz;
-
-    const UrlCode::Codeword cw = code.Encode(x);
-    const uint64_t b = bucket_hash(x);
-    const uint64_t y = cw.y[static_cast<size_t>(m)];
-    const uint64_t payload =
-        code.PackPayload(cw.symbols[static_cast<size_t>(m)]);
-    const uint64_t bit = (payload >> j) & 1;
-    const uint64_t cell = (b * static_cast<uint64_t>(y_range) + y) * 2 + bit;
-
-    UserReport& r = reports[static_cast<size_t>(i)];
-    r.group = q;
-    r.cell = cell_fo[static_cast<size_t>(q)].Encode(cell, user_coins);
-    r.global = global_fo.Encode(i, x, user_coins);
+  if (database.size() < 16) {
+    return Status::InvalidArgument("PES: need at least 16 users");
   }
-  result.metrics.user_seconds_total = user_timer.Seconds();
-  for (uint64_t i = 0; i < n; ++i) {
-    const auto& r = reports[static_cast<size_t>(i)];
-    const uint64_t bits =
-        static_cast<uint64_t>(r.cell.num_bits + r.global.num_bits);
-    result.metrics.comm_bits_total += bits;
-    result.metrics.comm_bits_max_user =
-        std::max(result.metrics.comm_bits_max_user, bits);
-  }
-
-  // --- Server side ---------------------------------------------------------
-  Timer server_timer;
-  const int num_shards = params_.num_shards;
-  if (num_shards <= 1) {
-    for (uint64_t i = 0; i < n; ++i) {
-      const auto& r = reports[static_cast<size_t>(i)];
-      cell_fo[static_cast<size_t>(r.group)].Aggregate(r.cell);
-      global_fo.Aggregate(i, r.global);
-    }
-  } else {
-    // Sharded server: strided slices into per-worker oracle replicas,
-    // merged exactly afterwards (see treehist.cc for the argument).
-    struct Replica {
-      std::vector<HadamardResponseFO> cell;
-      Hashtogram global;
-    };
-    std::vector<Replica> replicas;
-    replicas.reserve(static_cast<size_t>(num_shards - 1));
-    for (int s = 1; s < num_shards; ++s) {
-      replicas.push_back(Replica{make_cell_fos(),
-                                 Hashtogram(n, eps_half, ht_params, global_seed)});
-    }
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(num_shards));
-    for (int s = 0; s < num_shards; ++s) {
-      workers.emplace_back([&, s] {
-        auto& cf = (s == 0) ? cell_fo : replicas[static_cast<size_t>(s - 1)].cell;
-        auto& gf = (s == 0) ? global_fo : replicas[static_cast<size_t>(s - 1)].global;
-        for (uint64_t i = static_cast<uint64_t>(s); i < n;
-             i += static_cast<uint64_t>(num_shards)) {
-          const auto& r = reports[static_cast<size_t>(i)];
-          cf[static_cast<size_t>(r.group)].Aggregate(r.cell);
-          gf.Aggregate(i, r.global);
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-    for (auto& rep : replicas) {
-      for (int q = 0; q < num_groups; ++q) {
-        LDPHH_RETURN_IF_ERROR(cell_fo[static_cast<size_t>(q)].Merge(
-            rep.cell[static_cast<size_t>(q)]));
-      }
-      LDPHH_RETURN_IF_ERROR(global_fo.Merge(rep.global));
-    }
-  }
-  for (auto& fo : cell_fo) fo.Finalize();
-  global_fo.Finalize();
-
-  // Step 3: per-(m, b) candidate lists.
-  // Count noise: summing 2 Lz cell estimates, each sd c sqrt(n/(M Lz)),
-  // gives sd c sqrt(2 n / M).
-  const double e = std::exp(eps_half);
-  const double c_eps = (e + 1.0) / (e - 1.0);
-  const double count_sd =
-      c_eps * std::sqrt(2.0 * static_cast<double>(n) /
-                        static_cast<double>(m_count));
-  const double tau = params_.threshold_sigmas * count_sd;
-
-  const std::vector<DomainItem> recovered =
-      PesRecoverCandidates(cell_fo, code, bucket_hash, m_count, b_count,
-                           y_range, lz, params_.list_cap, tau, decode_rng);
-
-  // Step 5: estimate frequencies of the candidates with the global oracle.
-  result.entries.reserve(recovered.size());
-  for (const DomainItem& x : recovered) {
-    result.entries.push_back(HeavyHitterEntry{x, global_fo.Estimate(x)});
-  }
-  std::sort(result.entries.begin(), result.entries.end(),
-            [](const HeavyHitterEntry& a, const HeavyHitterEntry& b) {
-              return a.estimate > b.estimate;
-            });
-  result.metrics.server_seconds = server_timer.Seconds();
-
-  // Memory: the cell oracles + the global oracle (the report buffer is a
-  // measurement artifact of the simulation, not a protocol structure).
-  size_t mem = global_fo.MemoryBytes();
-  for (const auto& fo : cell_fo) mem += fo.MemoryBytes();
-  result.metrics.server_memory_bytes = mem;
+  ProtocolConfig config("private_expander_sketch");
+  config.SetUint("domain_bits", static_cast<uint64_t>(params_.domain_bits))
+      .SetDouble("eps", params_.epsilon)
+      .SetDouble("beta", params_.beta)
+      .SetUint("n_hint", database.size())
+      .SetUint("seed", seed)
+      .SetUint("num_coords", static_cast<uint64_t>(params_.num_coords))
+      .SetUint("hash_range", static_cast<uint64_t>(params_.hash_range))
+      .SetUint("expander_degree", static_cast<uint64_t>(params_.expander_degree))
+      .SetUint("num_buckets", static_cast<uint64_t>(params_.num_buckets))
+      .SetDouble("bucket_mult", params_.bucket_mult)
+      .SetDouble("threshold_sigmas", params_.threshold_sigmas)
+      .SetUint("list_cap", static_cast<uint64_t>(params_.list_cap))
+      .SetDouble("alpha", params_.alpha);
+  ProtocolConfig resolved;
+  auto result_or = RunServedProtocol(config, database, seed,
+                                     std::numeric_limits<size_t>::max(),
+                                     &resolved);
+  LDPHH_RETURN_IF_ERROR(result_or.status());
+  HeavyHitterResult result = std::move(result_or).value();
 
   // Public randomness a user consumes: the bucket-hash coefficients, its
-  // coordinate hashes + expander slots, and the Hashtogram row hashes
+  // coordinate hashes + expander slots, and the global Hashtogram row hashes
   // (all 61-bit field elements), plus the group-assignment word.
+  const uint64_t g_independence =
+      static_cast<uint64_t>(std::min(64, 2 * params_.domain_bits));
+  const uint64_t m_count = resolved.GetUintOr("num_coords", 0);
   const uint64_t words =
-      static_cast<uint64_t>(g_independence + 4) +           // g
-      static_cast<uint64_t>(2 * m_count + 4) +              // h_1..h_M
-      static_cast<uint64_t>(m_count * params_.expander_degree) +  // Gamma
-      static_cast<uint64_t>(6 * global_fo.rows()) + 1;      // Hashtogram
+      (g_independence + 4) +                                // g
+      (2 * m_count + 4) +                                   // h_1..h_M
+      m_count * resolved.GetUintOr("expander_degree", 0) +  // Gamma
+      6 * resolved.GetUintOr("fo_rows", 0) + 1;             // Hashtogram
   result.metrics.public_random_bits_per_user = words * 61;
-
   return result;
 }
 

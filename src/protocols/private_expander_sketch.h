@@ -25,12 +25,10 @@
 #define LDPHH_PROTOCOLS_PRIVATE_EXPANDER_SKETCH_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/codes/url_code.h"
 #include "src/freq/hadamard_response.h"
-#include "src/freq/hashtogram.h"
 #include "src/hashing/kwise_hash.h"
 #include "src/protocols/heavy_hitters.h"
 
@@ -51,17 +49,11 @@ struct PesParams {
   double threshold_sigmas = 4.0;  ///< Step 3b: tau = this * sd(count noise).
   int list_cap = 0;          ///< ell; 0 = auto 4 ceil(log2 |X|).
   double alpha = 0.25;       ///< Code's tolerated bad-coordinate fraction.
-
-  /// Server aggregation shards (>= 1). With S > 1 the server aggregates
-  /// reports on S threads over per-shard oracle replicas and merges them;
-  /// the result is bit-for-bit identical to the single-threaded run (the
-  /// same contract as bitstogram/treehist).
-  int num_shards = 1;
-
-  HashtogramParams global_fo;  ///< Step 5 oracle tuning (beta auto-filled).
 };
 
-/// \brief The Section 3.3 protocol.
+/// \brief The Section 3.3 protocol. `Run` drives the registry's
+/// `private_expander_sketch` aggregator (src/protocols/hh_serving.h) with
+/// n_hint = n; the step-5 global oracle's rows follow beta.
 class PrivateExpanderSketch final : public HeavyHitterProtocol {
  public:
   /// Validates parameters and resolves the auto fields that do not depend
@@ -88,19 +80,15 @@ class PrivateExpanderSketch final : public HeavyHitterProtocol {
   const PesParams& params() const { return params_; }
 
  private:
-  explicit PrivateExpanderSketch(const PesParams& params, UrlCodeParams code_params,
-                                 int payload_bits);
-
-  int ResolveBuckets(uint64_t n) const;
+  PrivateExpanderSketch(const PesParams& params, int payload_bits);
 
   PesParams params_;
-  UrlCodeParams code_params_;
   int payload_bits_;
 };
 
 /// Steps 3-4 of the server decode (candidate-list reconstruction + the
-/// Theorem 3.6 per-bucket decoder + bucket-hash verification), shared by
-/// Run and the streaming serving aggregator (src/protocols/hh_serving.h).
+/// Theorem 3.6 per-bucket decoder + bucket-hash verification), run by the
+/// serving aggregator's EstimateTopK (src/protocols/hh_serving.h).
 /// \p cell_fo must be finalized, laid out [m * payload_bits + j] over the
 /// cell domain [num_buckets] x [hash_range] x {0,1}. Returns verified
 /// candidates in recovery order, deduplicated.

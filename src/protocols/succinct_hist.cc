@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "src/common/math_util.h"
-#include "src/common/random.h"
-#include "src/common/timer.h"
+#include <limits>
 
 namespace ldphh {
 
@@ -31,43 +28,25 @@ double SuccinctHist::DetectionThreshold(uint64_t n) const {
 
 StatusOr<HeavyHitterResult> SuccinctHist::Run(
     const std::vector<DomainItem>& database, uint64_t seed) {
-  const uint64_t n = database.size();
-  if (n < 16) return Status::InvalidArgument("SuccinctHist: need >= 16 users");
-  const uint64_t domain = uint64_t{1} << params_.domain_bits;
-
-  const double e = std::exp(params_.epsilon);
-  const double keep = e / (e + 1.0);
-
-  Rng master(seed);
-  const uint64_t sign_seed = master();
-  Rng user_coins(master());
-
-  HeavyHitterResult result;
-  result.metrics.num_users = n;
-
-  std::vector<std::pair<uint64_t, int8_t>> reports;
-  reports.reserve(static_cast<size_t>(n));
-  Timer user_timer;
-  for (uint64_t i = 0; i < n; ++i) {
-    int bit = SuccinctHistSign(sign_seed, i, database[i]);
-    if (!user_coins.Bernoulli(keep)) bit = -bit;
-    reports.emplace_back(i, static_cast<int8_t>(bit));
+  if (database.size() < 16) {
+    return Status::InvalidArgument("SuccinctHist: need >= 16 users");
   }
-  result.metrics.user_seconds_total = user_timer.Seconds();
-  result.metrics.comm_bits_total = n;  // One bit each.
-  result.metrics.comm_bits_max_user = 1;
-
-  // Server: full-domain scan, Theta(n) work per domain element.
-  Timer server_timer;
-  const double tau = DetectionThreshold(n);
-  result.entries = SuccinctHistScan(sign_seed, reports, params_.domain_bits,
-                                    params_.epsilon, tau, params_.list_cap);
-  result.metrics.server_seconds = server_timer.Seconds();
-  result.metrics.server_memory_bytes =
-      reports.size() * sizeof(decltype(reports)::value_type);
+  ProtocolConfig config("succinct_hist");
+  config.SetUint("domain_bits", static_cast<uint64_t>(params_.domain_bits))
+      .SetDouble("eps", params_.epsilon)
+      .SetDouble("beta", params_.beta)
+      .SetUint("seed", seed)
+      .SetDouble("threshold_sigmas", params_.threshold_sigmas)
+      .SetUint("list_cap", static_cast<uint64_t>(params_.list_cap));
+  auto result_or = RunServedProtocol(config, database, seed,
+                                     std::numeric_limits<size_t>::max(),
+                                     /*resolved=*/nullptr);
+  LDPHH_RETURN_IF_ERROR(result_or.status());
+  HeavyHitterResult result = std::move(result_or).value();
   // Without random access, a user materializes the sign table over X
   // (Table 1's O~(n^1.5) with |X| = n^1.5): account, do not simulate.
-  result.metrics.public_random_bits_per_user = domain;
+  result.metrics.public_random_bits_per_user = uint64_t{1}
+                                               << params_.domain_bits;
   return result;
 }
 

@@ -34,7 +34,8 @@ struct SuccinctHistParams {
   int list_cap = 256;
 };
 
-/// \brief The [4] baseline protocol.
+/// \brief The [4] baseline protocol. `Run` drives the registry's
+/// `succinct_hist` aggregator (src/protocols/hh_serving.h).
 class SuccinctHist final : public HeavyHitterProtocol {
  public:
   static StatusOr<SuccinctHist> Create(const SuccinctHistParams& params);
@@ -56,8 +57,8 @@ class SuccinctHist final : public HeavyHitterProtocol {
 };
 
 /// The personal +-1 projection phi_i(x), derived from (seed, user, item).
-/// Public randomness: both the client encode and the server scan evaluate
-/// it, so it is shared by Run and the streaming serving aggregator.
+/// Public randomness: the serving aggregator's client Encode and its server
+/// scan both evaluate it.
 inline int SuccinctHistSign(uint64_t sign_seed, uint64_t user,
                             const DomainItem& x) {
   const uint64_t h = Mix64(sign_seed ^ Mix64(user + 1) ^ x.Fingerprint());
@@ -67,7 +68,7 @@ inline int SuccinctHistSign(uint64_t sign_seed, uint64_t user,
 /// The server decode: full-domain scan of f^(x) = c_eps sum_i b~_i phi_i(x)
 /// over the (user, report-bit) pairs, keeping estimates >= tau, capped at
 /// \p list_cap by estimate. Entries return sorted by estimate descending
-/// (ties: value ascending). Shared by Run and the serving aggregator.
+/// (ties: value ascending). Run by the serving aggregator's EstimateTopK.
 std::vector<HeavyHitterEntry> SuccinctHistScan(
     uint64_t sign_seed, const std::vector<std::pair<uint64_t, int8_t>>& reports,
     int domain_bits, double epsilon, double tau, int list_cap);

@@ -2,26 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
-#include <unordered_set>
-
-#include "src/common/math_util.h"
-#include "src/common/timer.h"
+#include <limits>
 
 namespace ldphh {
-
-namespace {
-
-// The l-bit prefix of x (low-order bits), as a fresh domain item. Distinct
-// levels use distinct oracle instances, so identical masked values at
-// different levels never mix.
-DomainItem Prefix(const DomainItem& x, int l) {
-  DomainItem p = x;
-  p.Truncate(l);
-  return p;
-}
-
-}  // namespace
 
 StatusOr<TreeHist> TreeHist::Create(const TreeHistParams& params) {
   if (params.domain_bits < 8 || params.domain_bits > 256) {
@@ -36,19 +19,17 @@ StatusOr<TreeHist> TreeHist::Create(const TreeHistParams& params) {
   if (params.frontier_cap < 2) {
     return Status::InvalidArgument("TreeHist: frontier_cap must be >= 2");
   }
-  if (params.num_shards < 1 || params.num_shards > 256) {
-    return Status::InvalidArgument("TreeHist: num_shards must be in [1, 256]");
-  }
   return TreeHist(params);
 }
 
 double TreeHist::DetectionThreshold(uint64_t n) const {
   const double e = std::exp(params_.epsilon / 2.0);
   const double c = (e + 1.0) / (e - 1.0);
-  HashtogramParams probe = params_.level_fo;
-  if (probe.beta <= 0.0) probe.beta = params_.beta;
+  // The served level oracles resolve their rows from beta at this n_hint.
+  HashtogramParams level;
+  level.beta = params_.beta;
   Hashtogram rows_probe(std::max<uint64_t>(n / params_.domain_bits, 16),
-                        params_.epsilon / 2.0, probe, 1);
+                        params_.epsilon / 2.0, level, 1);
   return params_.threshold_sigmas * c *
          std::sqrt(static_cast<double>(n) *
                    static_cast<double>(params_.domain_bits) *
@@ -57,152 +38,28 @@ double TreeHist::DetectionThreshold(uint64_t n) const {
 
 StatusOr<HeavyHitterResult> TreeHist::Run(const std::vector<DomainItem>& database,
                                           uint64_t seed) {
-  const uint64_t n = database.size();
-  const int d_bits = params_.domain_bits;
-  if (n < static_cast<uint64_t>(4 * d_bits)) {
+  if (database.size() < static_cast<uint64_t>(4 * params_.domain_bits)) {
     return Status::InvalidArgument("TreeHist: need at least 4 log|X| users");
   }
-  const double eps_half = params_.epsilon / 2.0;
-
-  Rng master(seed);
-  const uint64_t level_assign_seed = master();
-  Rng user_coins(master());
-
-  // One Hashtogram per tree level (levels are 1-based prefixes), eps/2,
-  // plus the global oracle, eps/2. Seeds are drawn up front so sharded
-  // aggregation can construct identical oracle replicas per worker.
-  HashtogramParams lp = params_.level_fo;
-  if (lp.beta <= 0.0) lp.beta = params_.beta;
-  const uint64_t level_n_hint = std::max<uint64_t>(n / d_bits, 16);
-  std::vector<uint64_t> level_seeds(static_cast<size_t>(d_bits));
-  for (auto& s : level_seeds) s = master();
-  HashtogramParams gp = params_.global_fo;
-  if (gp.beta <= 0.0) gp.beta = params_.beta;
-  const uint64_t global_seed = master();
-
-  auto make_level_fos = [&] {
-    std::vector<Hashtogram> fos;
-    fos.reserve(static_cast<size_t>(d_bits));
-    for (int l = 0; l < d_bits; ++l) {
-      fos.emplace_back(level_n_hint, eps_half, lp,
-                       level_seeds[static_cast<size_t>(l)]);
-    }
-    return fos;
-  };
-  std::vector<Hashtogram> level_fo = make_level_fos();
-  Hashtogram global_fo(n, eps_half, gp, global_seed);
-
-  HeavyHitterResult result;
-  result.metrics.num_users = n;
-
-  // Per-level user indices: each level's oracle sees its own dense index
-  // stream so its row balancing is unaffected by the level split.
-  std::vector<uint64_t> level_next(static_cast<size_t>(d_bits), 0);
-  struct UserReport {
-    int level;
-    uint64_t level_index;
-    FoReport level_report;
-    FoReport global_report;
-  };
-  std::vector<UserReport> reports(static_cast<size_t>(n));
-
-  Timer user_timer;
-  for (uint64_t i = 0; i < n; ++i) {
-    const DomainItem& x = database[i];
-    const int level = static_cast<int>(Mix64(level_assign_seed ^ i) %
-                                       static_cast<uint64_t>(d_bits));
-    UserReport& r = reports[static_cast<size_t>(i)];
-    r.level = level;
-    r.level_index = level_next[static_cast<size_t>(level)]++;
-    r.level_report = level_fo[static_cast<size_t>(level)].Encode(
-        r.level_index, Prefix(x, level + 1), user_coins);
-    r.global_report = global_fo.Encode(i, x, user_coins);
-  }
-  result.metrics.user_seconds_total = user_timer.Seconds();
-  for (const auto& r : reports) {
-    const uint64_t bits =
-        static_cast<uint64_t>(r.level_report.num_bits + r.global_report.num_bits);
-    result.metrics.comm_bits_total += bits;
-    result.metrics.comm_bits_max_user =
-        std::max(result.metrics.comm_bits_max_user, bits);
-  }
-
-  Timer server_timer;
-  const int num_shards = params_.num_shards;
-  if (num_shards <= 1) {
-    for (uint64_t i = 0; i < n; ++i) {
-      const auto& r = reports[static_cast<size_t>(i)];
-      level_fo[static_cast<size_t>(r.level)].Aggregate(r.level_index,
-                                                       r.level_report);
-      global_fo.Aggregate(i, r.global_report);
-    }
-  } else {
-    // Sharded server: each worker aggregates a strided slice of the report
-    // stream into its own oracle replicas (identical seeds), merged at the
-    // end. All tallies are integer-valued doubles, so the merged state is
-    // bit-for-bit the single-threaded state.
-    struct Replica {
-      std::vector<Hashtogram> level;
-      Hashtogram global;
-    };
-    std::vector<Replica> replicas;
-    replicas.reserve(static_cast<size_t>(num_shards - 1));
-    for (int s = 1; s < num_shards; ++s) {
-      replicas.push_back(Replica{make_level_fos(),
-                                 Hashtogram(n, eps_half, gp, global_seed)});
-    }
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(num_shards));
-    for (int s = 0; s < num_shards; ++s) {
-      workers.emplace_back([&, s] {
-        auto& lf = (s == 0) ? level_fo : replicas[static_cast<size_t>(s - 1)].level;
-        auto& gf = (s == 0) ? global_fo : replicas[static_cast<size_t>(s - 1)].global;
-        for (uint64_t i = static_cast<uint64_t>(s); i < n;
-             i += static_cast<uint64_t>(num_shards)) {
-          const auto& r = reports[static_cast<size_t>(i)];
-          lf[static_cast<size_t>(r.level)].Aggregate(r.level_index,
-                                                     r.level_report);
-          gf.Aggregate(i, r.global_report);
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-    for (auto& rep : replicas) {
-      for (int l = 0; l < d_bits; ++l) {
-        LDPHH_RETURN_IF_ERROR(level_fo[static_cast<size_t>(l)].Merge(
-            rep.level[static_cast<size_t>(l)]));
-      }
-      LDPHH_RETURN_IF_ERROR(global_fo.Merge(rep.global));
-    }
-  }
-  for (auto& fo : level_fo) fo.Finalize();
-  global_fo.Finalize();
-
-  // Breadth-first frontier growth. A level-l oracle saw ~n/D users, so its
-  // estimate of a heavy prefix is ~f/D; the survival threshold is set from
-  // the oracle's own noise scale c sqrt(n_l R).
-  const double e = std::exp(eps_half);
-  const double c_eps = (e + 1.0) / (e - 1.0);
-  const std::vector<DomainItem> frontier = TreeHistGrowFrontier(
-      level_fo, level_next, d_bits, c_eps, params_.threshold_sigmas,
-      params_.frontier_cap);
-
-  result.entries.reserve(frontier.size());
-  for (const DomainItem& cand : frontier) {
-    result.entries.push_back(
-        HeavyHitterEntry{cand, global_fo.Estimate(cand)});
-  }
-  std::sort(result.entries.begin(), result.entries.end(),
-            [](const HeavyHitterEntry& a, const HeavyHitterEntry& b) {
-              return a.estimate > b.estimate;
-            });
-  result.metrics.server_seconds = server_timer.Seconds();
-
-  size_t mem = global_fo.MemoryBytes();
-  for (const auto& fo : level_fo) mem += fo.MemoryBytes();
-  result.metrics.server_memory_bytes = mem;
+  ProtocolConfig config("treehist");
+  config.SetUint("domain_bits", static_cast<uint64_t>(params_.domain_bits))
+      .SetDouble("eps", params_.epsilon)
+      .SetDouble("beta", params_.beta)
+      .SetUint("n_hint", database.size())
+      .SetUint("seed", seed)
+      .SetDouble("threshold_sigmas", params_.threshold_sigmas)
+      .SetUint("frontier_cap", static_cast<uint64_t>(params_.frontier_cap));
+  ProtocolConfig resolved;
+  auto result_or = RunServedProtocol(config, database, seed,
+                                     std::numeric_limits<size_t>::max(),
+                                     &resolved);
+  LDPHH_RETURN_IF_ERROR(result_or.status());
+  HeavyHitterResult result = std::move(result_or).value();
+  // The level and global Hashtogram row hashes plus the two assignment
+  // words, all 61-bit field elements.
   result.metrics.public_random_bits_per_user =
-      (static_cast<uint64_t>(6 * level_fo[0].rows()) + 6 * global_fo.rows() + 2) *
+      (6 * resolved.GetUintOr("level_rows", 0) +
+       6 * resolved.GetUintOr("fo_rows", 0) + 2) *
       61;
   return result;
 }

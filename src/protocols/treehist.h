@@ -33,17 +33,11 @@ struct TreeHistParams {
 
   double threshold_sigmas = 3.0;  ///< Survival test on per-level estimates.
   int frontier_cap = 64;          ///< Max surviving prefixes per level.
-
-  /// Server aggregation shards (>= 1). With S > 1 the server aggregates
-  /// reports on S threads over per-shard oracle replicas and merges them;
-  /// the result is bit-for-bit identical to the single-threaded run.
-  int num_shards = 1;
-
-  HashtogramParams level_fo;   ///< Per-level oracle tuning (beta auto-fill).
-  HashtogramParams global_fo;  ///< Final estimation oracle tuning.
 };
 
-/// \brief The [3] prefix-tree baseline protocol.
+/// \brief The [3] prefix-tree baseline protocol. `Run` drives the registry's
+/// `treehist` aggregator (src/protocols/hh_serving.h) with n_hint = n; the
+/// level and global oracles' rows follow beta.
 class TreeHist final : public HeavyHitterProtocol {
  public:
   static StatusOr<TreeHist> Create(const TreeHistParams& params);
@@ -54,7 +48,8 @@ class TreeHist final : public HeavyHitterProtocol {
   double Epsilon() const override { return params_.epsilon; }
 
   /// Detection threshold analogue: ~sigmas c_{eps/2} sqrt(n D R) where R is
-  /// the per-level oracle's row count (the log(1/beta) amplification).
+  /// the per-level oracle's row count at this beta (the log(1/beta)
+  /// amplification).
   double DetectionThreshold(uint64_t n) const;
 
   const TreeHistParams& params() const { return params_; }
@@ -65,8 +60,8 @@ class TreeHist final : public HeavyHitterProtocol {
   TreeHistParams params_;
 };
 
-/// Breadth-first frontier growth (the server decode step), shared by Run
-/// and the streaming serving aggregator (src/protocols/hh_serving.h). A
+/// Breadth-first frontier growth (the server decode step), run by the
+/// serving aggregator's EstimateTopK (src/protocols/hh_serving.h). A
 /// level-l prefix survives iff its level oracle's estimate clears
 /// threshold_sigmas * c_eps * sqrt(n_l * rows); survivors spawn two
 /// children, capped at \p frontier_cap per level. \p level_fo must be

@@ -170,6 +170,21 @@ TEST(Pes, MetricsAccounting) {
   EXPECT_GE(m.user_seconds_total, 0.0);
 }
 
+TEST(Pes, GlobalOracleRowsFollowBeta) {
+  // The step-5 global oracle resolves its rows from beta, and each row's
+  // hashes are public randomness every user expands.
+  const Workload w = MakePlantedWorkload(1 << 12, 16, {0.3}, 50);
+  PesParams p = FastPes();
+  p.beta = 1e-2;
+  auto loose = std::move(PrivateExpanderSketch::Create(p)).value();
+  p.beta = 1e-6;
+  auto strict = std::move(PrivateExpanderSketch::Create(p)).value();
+  const auto loose_res = std::move(loose.Run(w.database, 5)).value();
+  const auto strict_res = std::move(strict.Run(w.database, 5)).value();
+  EXPECT_GT(strict_res.metrics.public_random_bits_per_user,
+            loose_res.metrics.public_random_bits_per_user);
+}
+
 TEST(Pes, DeterministicGivenSeed) {
   auto pes = std::move(PrivateExpanderSketch::Create(FastPes())).value();
   Workload w = MakePlantedWorkload(1 << 17, 16, {0.3}, 45);

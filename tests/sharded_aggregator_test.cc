@@ -22,12 +22,8 @@
 #include "src/freq/hashtogram.h"
 #include "src/freq/olh.h"
 #include "src/freq/unary_encoding.h"
-#include "src/protocols/bitstogram.h"
-#include "src/protocols/private_expander_sketch.h"
 #include "src/protocols/registry.h"
-#include "src/protocols/treehist.h"
 #include "src/server/report_codec.h"
-#include "src/workload/workload.h"
 #include "tests/serving_test_util.h"
 
 namespace ldphh {
@@ -450,86 +446,6 @@ TEST(MergeableState, CountMeanSketchMergeAndSnapshotMatchSequential) {
   left.Finalize();
   for (uint64_t v = 0; v < 500; v += 17) {
     EXPECT_EQ(left.Estimate(DomainItem(v)), seq.Estimate(DomainItem(v)));
-  }
-}
-
-// --------------------------------------------- sharded protocol end-to-end --
-
-TEST(ShardedProtocols, TreeHistShardedRunMatchesSequential) {
-  TreeHistParams p;
-  p.domain_bits = 16;
-  p.epsilon = 4.0;
-  p.beta = 1e-2;
-  const uint64_t n = 1 << 16;
-  const Workload w = MakePlantedWorkload(n, 16, {0.3, 0.2}, 91);
-
-  auto sequential = std::move(TreeHist::Create(p)).value();
-  const auto seq_res = std::move(sequential.Run(w.database, 7)).value();
-
-  p.num_shards = 4;
-  auto sharded = std::move(TreeHist::Create(p)).value();
-  const auto shard_res = std::move(sharded.Run(w.database, 7)).value();
-
-  ASSERT_EQ(shard_res.entries.size(), seq_res.entries.size());
-  for (size_t i = 0; i < seq_res.entries.size(); ++i) {
-    EXPECT_EQ(shard_res.entries[i].item, seq_res.entries[i].item);
-    EXPECT_EQ(shard_res.entries[i].estimate, seq_res.entries[i].estimate);
-  }
-}
-
-TEST(ShardedProtocols, PrivateExpanderSketchShardedRunMatchesSequential) {
-  PesParams p;
-  p.domain_bits = 16;
-  p.epsilon = 4.0;
-  p.beta = 1e-3;
-  p.num_coords = 8;
-  p.hash_range = 16;
-  p.expander_degree = 4;
-  const uint64_t n = 1 << 15;
-  const Workload w = MakePlantedWorkload(n, 16, {0.3, 0.2}, 23);
-
-  auto sequential = std::move(PrivateExpanderSketch::Create(p)).value();
-  const auto seq_res = std::move(sequential.Run(w.database, 9)).value();
-
-  p.num_shards = 4;
-  auto sharded = std::move(PrivateExpanderSketch::Create(p)).value();
-  const auto shard_res = std::move(sharded.Run(w.database, 9)).value();
-
-  ASSERT_EQ(shard_res.entries.size(), seq_res.entries.size());
-  for (size_t i = 0; i < seq_res.entries.size(); ++i) {
-    EXPECT_EQ(shard_res.entries[i].item, seq_res.entries[i].item);
-    EXPECT_EQ(shard_res.entries[i].estimate, seq_res.entries[i].estimate);
-  }
-}
-
-TEST(ShardedProtocols, PesCreateValidatesNumShards) {
-  PesParams p;
-  p.domain_bits = 16;
-  p.num_shards = 0;
-  EXPECT_FALSE(PrivateExpanderSketch::Create(p).ok());
-  p.num_shards = 257;
-  EXPECT_FALSE(PrivateExpanderSketch::Create(p).ok());
-}
-
-TEST(ShardedProtocols, BitstogramShardedRunMatchesSequential) {
-  BitstogramParams p;
-  p.domain_bits = 16;
-  p.epsilon = 4.0;
-  p.beta = 1e-2;
-  const uint64_t n = 1 << 15;
-  const Workload w = MakePlantedWorkload(n, 16, {0.3, 0.2}, 47);
-
-  auto sequential = std::move(Bitstogram::Create(p)).value();
-  const auto seq_res = std::move(sequential.Run(w.database, 3)).value();
-
-  p.num_shards = 4;
-  auto sharded = std::move(Bitstogram::Create(p)).value();
-  const auto shard_res = std::move(sharded.Run(w.database, 3)).value();
-
-  ASSERT_EQ(shard_res.entries.size(), seq_res.entries.size());
-  for (size_t i = 0; i < seq_res.entries.size(); ++i) {
-    EXPECT_EQ(shard_res.entries[i].item, seq_res.entries[i].item);
-    EXPECT_EQ(shard_res.entries[i].estimate, seq_res.entries[i].estimate);
   }
 }
 

@@ -94,6 +94,18 @@ TEST(TreeHist, DetectionThresholdScalesWithDomainAndN) {
               2.0, 0.2);
 }
 
+TEST(TreeHist, DetectionThresholdGrowsWithStricterBeta) {
+  // The per-level oracles' rows follow beta, so the log(1/beta) row factor
+  // must show in the threshold.
+  TreeHistParams p = FastConfig();
+  p.beta = 1e-2;
+  auto loose = std::move(TreeHist::Create(p)).value();
+  p.beta = 1e-6;
+  auto strict = std::move(TreeHist::Create(p)).value();
+  EXPECT_GT(strict.DetectionThreshold(1 << 18),
+            loose.DetectionThreshold(1 << 18));
+}
+
 TEST(TreeHist, DeterministicGivenSeed) {
   auto th = std::move(TreeHist::Create(FastConfig())).value();
   const Workload w = MakePlantedWorkload(1 << 17, 16, {0.3}, 99);

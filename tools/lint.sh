@@ -117,6 +117,18 @@ for f in $src_files; do
   fi
 done
 
+# Rule 7: the protocol layer spawns no threads. ShardedAggregator
+# (src/server/) is the one sharding implementation; every protocol's
+# one-shot Run drives a single registry Aggregator, so a thread pool under
+# src/protocols/ would be a second, untested copy of it.
+for f in $src_files; do
+  case "$f" in src/protocols/*) ;; *) continue ;; esac
+  hits=$(strip_comments "$f" | grep -nE 'std::(thread|jthread)|#include[[:space:]]*<thread>')
+  if [ -n "$hits" ]; then
+    fail "$f: thread spawned under src/protocols/; shard through ShardedAggregator instead" "$hits"
+  fi
+done
+
 # clang-tidy over the exported compile commands (the .clang-tidy config at
 # the repo root curates the checks).
 if command -v clang-tidy >/dev/null 2>&1; then
