@@ -1,22 +1,19 @@
 #include "src/server/epoch_manager.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
 #include "src/common/serde.h"
 #include "src/common/timer.h"
 #include "src/obs/trace.h"
 #include "src/protocols/registry.h"
-#include "src/server/report_codec.h"
 
 namespace ldphh {
 
-EpochManager::EpochManager(ProtocolConfig config, uint16_t wire_id,
-                           CheckpointStore* store, EpochManagerOptions options)
-    : config_(std::move(config)),
-      wire_id_(wire_id),
-      store_(store),
-      options_(options) {
+EpochManager::EpochManager(ProtocolConfig config, CheckpointStore* store,
+                           EpochManagerOptions options)
+    : config_(std::move(config)), store_(store), options_(options) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   epoch_close_ns_ = reg.NewHistogram(
       "ldphh_epoch_close_duration_ns",
@@ -30,6 +27,7 @@ EpochManager::EpochManager(ProtocolConfig config, uint16_t wire_id,
   open_reports_gauge_ = reg.NewGauge(
       "ldphh_epoch_open_reports", "Reports in the open epoch", "reports");
   close_spans_ = obs::SpanSampler::Global().Family("epoch.close");
+  submit_wire_spans_ = obs::SpanSampler::Global().Family("ingest.submit_wire");
 
   // The /statusz "epoch" section. Reads only gauges/counters (atomics) and
   // the store's thread-safe Keys(), so a scrape never touches the
@@ -65,11 +63,8 @@ StatusOr<std::unique_ptr<EpochManager>> EpochManager::Create(
   // epoch's sharded aggregator is then built from the resolved form.
   auto probe_or = CreateAggregator(config);
   LDPHH_RETURN_IF_ERROR(probe_or.status());
-  ProtocolConfig resolved = probe_or.value()->config();
-  auto wire_id_or = ProtocolRegistry::Global().WireIdOf(resolved.protocol());
-  LDPHH_RETURN_IF_ERROR(wire_id_or.status());
-  return std::unique_ptr<EpochManager>(new EpochManager(
-      std::move(resolved), wire_id_or.value(), store, options));
+  return std::unique_ptr<EpochManager>(
+      new EpochManager(probe_or.value()->config(), store, options));
 }
 
 EpochManager::~EpochManager() = default;
@@ -124,15 +119,42 @@ Status EpochManager::Start() {
   return RollAggregator();
 }
 
-Status EpochManager::Submit(const WireReport& report) {
+Status EpochManager::CheckIngesting() const {
   if (!started_ || closed_) {
     return Status::FailedPrecondition(
         "EpochManager: Submit outside Start()..Close()");
   }
-  LDPHH_RETURN_IF_ERROR(aggregator_->Submit(report));
-  open_reports_gauge_->Set(static_cast<double>(++reports_in_epoch_));
-  if (reports_in_epoch_ >= options_.reports_per_epoch || EpochTimeUp()) {
-    return CloseEpoch();
+  return Status::OK();
+}
+
+Status EpochManager::Submit(const WireReport& report) {
+  LDPHH_RETURN_IF_ERROR(CheckIngesting());
+  return Ingest({report});
+}
+
+Status EpochManager::Ingest(const std::vector<WireReport>& reports) {
+  std::vector<WireReport> slice;
+  size_t offset = 0;
+  while (offset < reports.size()) {
+    // The open epoch has room for at least one report: it closes the moment
+    // it fills. (After a failed close it has none; the slice is then empty
+    // and the close below is retried.)
+    const size_t take = static_cast<size_t>(
+        std::min<uint64_t>(options_.reports_per_epoch - reports_in_epoch_,
+                           reports.size() - offset));
+    if (take == reports.size()) {
+      LDPHH_RETURN_IF_ERROR(aggregator_->SubmitBatch(reports));
+    } else {
+      const auto first = reports.begin() + static_cast<ptrdiff_t>(offset);
+      slice.assign(first, first + static_cast<ptrdiff_t>(take));
+      LDPHH_RETURN_IF_ERROR(aggregator_->SubmitBatch(slice));
+    }
+    offset += take;
+    reports_in_epoch_ += take;
+    open_reports_gauge_->Set(static_cast<double>(reports_in_epoch_));
+    if (reports_in_epoch_ >= options_.reports_per_epoch || EpochTimeUp()) {
+      LDPHH_RETURN_IF_ERROR(CloseEpoch());
+    }
   }
   return Status::OK();
 }
@@ -148,12 +170,18 @@ StatusOr<bool> EpochManager::PollClock() {
 }
 
 Status EpochManager::SubmitWire(std::string_view batch) {
+  LDPHH_RETURN_IF_ERROR(CheckIngesting());
+  obs::Span span(submit_wire_spans_.get());
+  span.set_args(batch.size());
   std::vector<WireReport> reports;
-  LDPHH_RETURN_IF_ERROR(
-      DecodeReportBatchFor(batch, wire_id_, config_.protocol(), &reports));
-  for (const WireReport& r : reports) {
-    LDPHH_RETURN_IF_ERROR(Submit(r));
+  LDPHH_RETURN_IF_ERROR(aggregator_->DecodeWire(batch, span, &reports));
+  {
+    // Includes any epoch close the frame triggers (traced as epoch.close).
+    const obs::Span::ChildScope enqueue = span.Child("enqueue");
+    LDPHH_RETURN_IF_ERROR(Ingest(reports));
   }
+  // Counted on the open epoch's aggregator: the one /statusz shows.
+  aggregator_->CountWireBytes(batch.size());
   return Status::OK();
 }
 

@@ -31,6 +31,12 @@
 /// recovery model: clients replay anything submitted after the last
 /// CloseEpoch.
 ///
+/// Ingest: Submit and SubmitWire share one routine that hands the shards
+/// one ShardedAggregator::SubmitBatch per epoch slice. A frame that fits
+/// the open epoch is one slice, enqueued as decoded; a frame that crosses
+/// the count boundary is split there, the full epoch closes between its
+/// slices, and the rest opens the next epoch.
+///
 /// Thread-safety: the control surface (Submit/CloseEpoch/Close) is
 /// single-threaded, like ShardedAggregator's Start/Finish; aggregation
 /// itself fans out across the shard workers. WindowedQuery only touches
@@ -57,11 +63,12 @@ namespace ldphh {
 
 /// Tuning for EpochManager.
 struct EpochManagerOptions {
-  /// Reports per epoch; Submit auto-closes the epoch at this count.
+  /// Reports per epoch; ingest auto-closes the epoch at exactly this count.
   uint64_t reports_per_epoch = 1 << 16;
   /// Wall-clock roll policy, alongside the count-based one: close the open
   /// epoch once it has been open at least this long. Zero disables. The
-  /// elapsed time is checked after every Submit and by PollClock() — a
+  /// elapsed time is checked after every epoch slice (so after every
+  /// Submit, and after a whole SubmitWire frame) and by PollClock() — a
   /// quiet stream needs the caller's PollClock cadence (e.g. a timer) to
   /// roll on time.
   std::chrono::milliseconds epoch_max_duration{0};
@@ -90,12 +97,14 @@ class EpochManager {
   /// + 1) and starts the aggregator for the open epoch. Call once.
   Status Start();
 
-  /// Ingests one report into the open epoch; closes the epoch when it
-  /// reaches reports_per_epoch.
+  /// Ingests one report into the open epoch (a slice of one); closes the
+  /// epoch when it reaches reports_per_epoch or its wall-clock deadline.
   Status Submit(const WireReport& report);
 
-  /// Decodes a wire-format batch (report_codec.h) and submits each report.
-  /// A batch stamped for a different protocol is rejected whole.
+  /// Decodes a wire-format batch (report_codec.h) through the aggregator's
+  /// instrumented decode and ingests it in epoch slices. A batch that is
+  /// corrupt or stamped for a different protocol is rejected whole, before
+  /// any report reaches a shard.
   Status SubmitWire(std::string_view batch);
 
   /// Snapshots the open epoch's merged aggregator state into the store
@@ -138,15 +147,18 @@ class EpochManager {
   uint64_t reports_in_current_epoch() const { return reports_in_epoch_; }
 
  private:
-  EpochManager(ProtocolConfig config, uint16_t wire_id, CheckpointStore* store,
+  EpochManager(ProtocolConfig config, CheckpointStore* store,
                EpochManagerOptions options);
 
+  Status CheckIngesting() const;
+  /// The one ingest routine: one SubmitBatch per epoch slice of \p reports,
+  /// closing each epoch that fills or outlives epoch_max_duration.
+  Status Ingest(const std::vector<WireReport>& reports);
   Status RollAggregator();
   std::chrono::steady_clock::time_point Now() const;
   bool EpochTimeUp() const;
 
   ProtocolConfig config_;
-  uint16_t wire_id_ = 0;
   CheckpointStore* store_;
   EpochManagerOptions options_;
   std::unique_ptr<ShardedAggregator> aggregator_;
@@ -162,8 +174,9 @@ class EpochManager {
   std::shared_ptr<obs::Counter> epochs_pruned_;
   std::shared_ptr<obs::Gauge> current_epoch_gauge_;
   std::shared_ptr<obs::Gauge> open_reports_gauge_;
-  /// Slow-span family for CloseEpoch (served at /spanz).
+  /// Slow-span families for CloseEpoch and SubmitWire (served at /spanz).
   std::shared_ptr<obs::SpanFamily> close_spans_;
+  std::shared_ptr<obs::SpanFamily> submit_wire_spans_;
   /// Declared last: unregisters (stopping /statusz callbacks into this
   /// object) before any member the callback reads is destroyed.
   obs::StatuszRegistry::Registration statusz_;

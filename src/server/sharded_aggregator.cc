@@ -33,7 +33,7 @@ ShardedAggregator::ShardedAggregator(
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   submitted_ = reg.NewCounter("ldphh_ingest_submitted_reports_total",
-                              "Reports accepted by Submit/SubmitBatch/SubmitWire");
+                              "Reports accepted by SubmitBatch/SubmitWire");
   restored_reports_ = reg.NewCounter(
       "ldphh_ingest_restored_reports_total",
       "Reports carried in via RestoreCheckpoint");
@@ -44,7 +44,7 @@ ShardedAggregator::ShardedAggregator(
       "ldphh_ingest_wire_rejected_batches_total",
       "Wire batches rejected before decode (bad stamp or corrupt)");
   wire_decode_ns_ = reg.NewHistogram("ldphh_ingest_wire_decode_duration_ns",
-                                     "SubmitWire batch decode latency", "ns");
+                                     "Wire batch decode latency", "ns");
   batch_aggregate_ns_ = reg.NewHistogram(
       "ldphh_ingest_batch_aggregate_duration_ns",
       "Worker latency aggregating one drained batch", "ns");
@@ -55,7 +55,7 @@ ShardedAggregator::ShardedAggregator(
       "ldphh_ingest_checkpoint_restore_duration_ns",
       "RestoreCheckpoint duration (scan + state restore)", "ns");
   wire_bytes_ = reg.NewCounter("ldphh_ingest_wire_bytes_total",
-                               "Wire-format bytes accepted by SubmitWire",
+                               "Wire-format bytes of enqueued batches",
                                "bytes");
   submit_wire_spans_ = obs::SpanSampler::Global().Family("ingest.submit_wire");
   aggregate_spans_ =
@@ -217,24 +217,6 @@ void ShardedAggregator::WorkerLoop(Shard& shard) {
   }
 }
 
-Status ShardedAggregator::Submit(const WireReport& report) {
-  if (!started_ || finished_) {
-    return Status::FailedPrecondition(
-        "ShardedAggregator: Submit outside Start()..Finish()");
-  }
-  Shard& shard = *shards_[static_cast<size_t>(ShardOf(report.user_index))];
-  {
-    MutexLock lk(&shard.mu);
-    while (shard.queue.size() >= options_.queue_capacity) {
-      shard.not_full.Wait();
-    }
-    shard.queue.push_back(report);
-  }
-  shard.not_empty.Signal();
-  submitted_->Increment();
-  return Status::OK();
-}
-
 Status ShardedAggregator::SubmitBatch(const std::vector<WireReport>& reports) {
   if (!started_ || finished_) {
     return Status::FailedPrecondition(
@@ -270,6 +252,7 @@ Status ShardedAggregator::SubmitBatch(const std::vector<WireReport>& reports) {
         shard.queue.insert(shard.queue.end(),
                            bucket.begin() + static_cast<ptrdiff_t>(offset),
                            bucket.begin() + static_cast<ptrdiff_t>(offset + take));
+        shard.queue_depth->Set(static_cast<double>(shard.queue.size()));
       }
       shard.not_empty.Signal();
       offset += take;
@@ -280,26 +263,32 @@ Status ShardedAggregator::SubmitBatch(const std::vector<WireReport>& reports) {
   return Status::OK();
 }
 
-Status ShardedAggregator::SubmitWire(std::string_view batch) {
-  obs::Span span(submit_wire_spans_.get());
-  span.set_args(batch.size());
-  std::vector<WireReport> reports;
+Status ShardedAggregator::DecodeWire(std::string_view batch, obs::Span& span,
+                                     std::vector<WireReport>* reports) {
   const Timer decode_timer;
   Status decoded;
   {
     const obs::Span::ChildScope decode = span.Child("decode");
-    decoded = DecodeReportBatchFor(batch, wire_id_, config_.protocol(),
-                                   &reports);
+    decoded =
+        DecodeReportBatchFor(batch, wire_id_, config_.protocol(), reports);
   }
   wire_decode_ns_->Observe(static_cast<uint64_t>(decode_timer.Nanos()));
   if (!decoded.ok()) {
     wire_rejected_batches_->Increment();
     span.set_detail(decoded.message());
-    return decoded;
   }
-  wire_bytes_->Increment(batch.size());
+  return decoded;
+}
+
+Status ShardedAggregator::SubmitWire(std::string_view batch) {
+  obs::Span span(submit_wire_spans_.get());
+  span.set_args(batch.size());
+  std::vector<WireReport> reports;
+  LDPHH_RETURN_IF_ERROR(DecodeWire(batch, span, &reports));
   const obs::Span::ChildScope enqueue = span.Child("enqueue");
-  return SubmitBatch(reports);
+  LDPHH_RETURN_IF_ERROR(SubmitBatch(reports));
+  CountWireBytes(batch.size());
+  return Status::OK();
 }
 
 // Thread-safety analysis is off here because the function locks a *set* of
@@ -355,25 +344,13 @@ Status ShardedAggregator::TrySubmitWire(std::string_view batch) {
   obs::Span span(submit_wire_spans_.get());
   span.set_args(batch.size());
   std::vector<WireReport> reports;
-  const Timer decode_timer;
-  Status decoded;
-  {
-    const obs::Span::ChildScope decode = span.Child("decode");
-    decoded = DecodeReportBatchFor(batch, wire_id_, config_.protocol(),
-                                   &reports);
-  }
-  wire_decode_ns_->Observe(static_cast<uint64_t>(decode_timer.Nanos()));
-  if (!decoded.ok()) {
-    wire_rejected_batches_->Increment();
-    span.set_detail(decoded.message());
-    return decoded;
-  }
+  LDPHH_RETURN_IF_ERROR(DecodeWire(batch, span, &reports));
   const obs::Span::ChildScope enqueue = span.Child("enqueue");
-  Status submitted = TrySubmitBatch(reports);
-  // Counted only on success: a busy batch comes back through here on
-  // retry, and counting it every attempt would inflate the byte totals.
-  if (submitted.ok()) wire_bytes_->Increment(batch.size());
-  return submitted;
+  // A busy batch comes back through here on retry; CountWireBytes only on
+  // success keeps it from being counted every attempt.
+  LDPHH_RETURN_IF_ERROR(TrySubmitBatch(reports));
+  CountWireBytes(batch.size());
+  return Status::OK();
 }
 
 Status ShardedAggregator::Drain() {

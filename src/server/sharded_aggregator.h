@@ -53,7 +53,7 @@ namespace ldphh {
 /// Tuning for ShardedAggregator.
 struct ShardedAggregatorOptions {
   int num_shards = 4;           ///< Worker shard count (>= 1).
-  size_t queue_capacity = 4096; ///< Per-shard queue bound; Submit blocks when full.
+  size_t queue_capacity = 4096; ///< Per-shard queue bound; SubmitBatch blocks when full.
   size_t batch_size = 256;      ///< Max reports a worker drains per lock acquisition.
 };
 
@@ -82,11 +82,9 @@ class ShardedAggregator {
   /// Spawns the worker threads. Call once, after any RestoreCheckpoint.
   Status Start();
 
-  /// Enqueues one report (thread-safe; blocks while the target queue is
-  /// full). Reports are routed by a hash of the user index.
-  Status Submit(const WireReport& report);
-
-  /// Enqueues a batch.
+  /// Enqueues a batch (thread-safe; blocks while a target queue is full).
+  /// Reports are routed by a hash of the user index; each shard's slice is
+  /// appended under one lock acquisition and one worker wake-up.
   Status SubmitBatch(const std::vector<WireReport>& reports);
 
   /// Decodes a wire-format batch (see report_codec.h) and enqueues it.
@@ -108,6 +106,21 @@ class ShardedAggregator {
   /// are permanent (kDecodeFailure / kInvalidArgument); a full queue is
   /// kResourceExhausted and the caller may retry the same bytes.
   Status TrySubmitWire(std::string_view batch);
+
+  /// The instrumented wire decode behind SubmitWire, TrySubmitWire and
+  /// EpochManager::SubmitWire (which hands the reports on in epoch slices):
+  /// DecodeReportBatchFor against this protocol's wire id, timed into
+  /// ldphh_ingest_wire_decode_duration_ns and a "decode" child of \p span.
+  /// A batch that is corrupt or stamped for another protocol appends
+  /// nothing and is counted in ldphh_ingest_wire_rejected_batches_total.
+  Status DecodeWire(std::string_view batch, obs::Span& span,
+                    std::vector<WireReport>* reports);
+
+  /// Counts \p bytes of wire input whose reports were all enqueued
+  /// (ldphh_ingest_wire_bytes_total; /statusz comm_bits_total). Callers of
+  /// DecodeWire count once the enqueue succeeded, so a busy batch that is
+  /// retried is counted once.
+  void CountWireBytes(size_t bytes) { wire_bytes_->Increment(bytes); }
 
   /// Blocks until every queue is empty and every worker is idle.
   Status Drain();

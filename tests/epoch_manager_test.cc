@@ -11,13 +11,20 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstddef>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/random.h"
+#include "src/common/serde.h"
+#include "src/obs/json_reader.h"
+#include "src/obs/metrics.h"
+#include "src/obs/span.h"
+#include "src/obs/statusz.h"
 #include "src/protocols/registry.h"
+#include "src/server/report_codec.h"
 #include "tests/serving_test_util.h"
 
 namespace fs = std::filesystem;
@@ -377,6 +384,219 @@ TEST_F(EpochManagerTest, EpochClockSurvivesPruningEverything) {
   EXPECT_TRUE(mgr->PersistedEpochs().empty());
   EXPECT_EQ(mgr->WindowedQuery(UINT64_MAX, UINT64_MAX).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// reports[lo, hi) as one wire frame stamped for \p config's protocol.
+std::string Frame(const ProtocolConfig& config,
+                  const std::vector<WireReport>& reports, size_t lo,
+                  size_t hi) {
+  const auto wire_id_or =
+      ProtocolRegistry::Global().WireIdOf(config.protocol());
+  LDPHH_CHECK(wire_id_or.ok(), "test: protocol has no wire id");
+  return EncodeReportBatch(
+      std::vector<WireReport>(reports.begin() + static_cast<ptrdiff_t>(lo),
+                              reports.begin() + static_cast<ptrdiff_t>(hi)),
+      wire_id_or.value());
+}
+
+// The report count in the header of epoch \p epoch's persisted blob.
+uint64_t PersistedReportCount(const CheckpointStore& store, uint64_t epoch) {
+  std::string blob;
+  EXPECT_TRUE(store.Get(epoch, &blob).ok()) << "epoch " << epoch;
+  ByteReader reader(blob);
+  uint32_t magic = 0;
+  uint16_t version = 0;
+  uint64_t id = 0, count = 0;
+  EXPECT_TRUE(reader.ReadU32(&magic).ok());
+  EXPECT_TRUE(reader.ReadU16(&version).ok());
+  EXPECT_TRUE(reader.ReadU64(&id).ok());
+  EXPECT_TRUE(reader.ReadU64(&count).ok());
+  EXPECT_EQ(magic, kEpochBlobMagic);
+  EXPECT_EQ(id, epoch);
+  return count;
+}
+
+// 7-report frames into 10-report epochs: most frames straddle an epoch
+// boundary, so SubmitWire hands the shards two slices with a close between
+// them. Every epoch closed by count holds exactly 10 reports, and each one
+// is bit for bit a single-threaded aggregation of its own reports.
+void CheckStraddlingFrames(EpochManager& mgr, const CheckpointStore& store,
+                           const ProtocolConfig& config) {
+  constexpr uint64_t kFrame = 7, kEpoch = 10, kEpochs = 14;  // 20 frames.
+  const auto reports = EncodeReports(config, kEpochs * kEpoch, 55);
+  ASSERT_TRUE(mgr.Start().ok());
+  for (uint64_t lo = 0; lo < reports.size(); lo += kFrame) {
+    const uint64_t hi = lo + kFrame;
+    ASSERT_TRUE(mgr.SubmitWire(Frame(config, reports, lo, hi)).ok());
+    EXPECT_EQ(mgr.current_epoch(), hi / kEpoch);
+    EXPECT_EQ(mgr.reports_in_current_epoch(), hi % kEpoch);
+  }
+  ASSERT_EQ(mgr.PersistedEpochs().size(), kEpochs);
+  for (uint64_t e = 0; e < kEpochs; ++e) {
+    EXPECT_EQ(PersistedReportCount(store, e), kEpoch) << "epoch " << e;
+    auto window_or = mgr.WindowedQuery(e, e);
+    ASSERT_TRUE(window_or.ok()) << window_or.status().ToString();
+    auto window = std::move(window_or).value();
+    auto want = DirectAggregate(config, reports, e * kEpoch, (e + 1) * kEpoch);
+    ExpectSameEstimates(*window, *want);
+  }
+  ASSERT_TRUE(mgr.Close().ok());
+}
+
+TEST_F(EpochManagerTest, SubmitWireStraddlingFramesHadamardResponse) {
+  const ProtocolConfig config = OracleConfig("hadamard_response", 64, 1.0);
+  auto store = OpenStore();
+  EpochManagerOptions opts;
+  opts.reports_per_epoch = 10;
+  opts.aggregator.num_shards = 3;
+  auto mgr = OpenManager(config, store.get(), opts);
+  CheckStraddlingFrames(*mgr, *store, config);
+}
+
+TEST_F(EpochManagerTest, SubmitWireStraddlingFramesOlh) {
+  // OLH's estimator depends on user identity: the split must keep every
+  // report with its own user index.
+  const ProtocolConfig config = OlhConfig(16, 1.0, 77);
+  auto store = OpenStore();
+  EpochManagerOptions opts;
+  opts.reports_per_epoch = 10;
+  opts.aggregator.num_shards = 3;
+  auto mgr = OpenManager(config, store.get(), opts);
+  CheckStraddlingFrames(*mgr, *store, config);
+}
+
+// A corrupt frame and a frame stamped for another protocol are each
+// rejected whole: no report reaches a shard and the open epoch's count
+// does not move.
+TEST_F(EpochManagerTest, SubmitWireRejectsBadFramesWhole) {
+  const ProtocolConfig config = OracleConfig("hadamard_response", 32, 1.0);
+  const auto reports = EncodeReports(config, 14, 29);
+  auto store = OpenStore();
+  EpochManagerOptions opts;
+  opts.reports_per_epoch = 10;
+  auto mgr = OpenManager(config, store.get(), opts);
+  ASSERT_TRUE(mgr->Start().ok());
+  ASSERT_TRUE(mgr->SubmitWire(Frame(config, reports, 0, 7)).ok());
+
+  std::string corrupt = Frame(config, reports, 7, 14);
+  corrupt.back() ^= 0x01;  // Payload byte: the CRC no longer matches.
+  EXPECT_EQ(mgr->SubmitWire(corrupt).code(), StatusCode::kDecodeFailure);
+  EXPECT_EQ(mgr->reports_in_current_epoch(), 7u);
+
+  const ProtocolConfig other = OracleConfig("k_rr", 32, 1.0);
+  EXPECT_EQ(mgr->SubmitWire(Frame(other, reports, 7, 14)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(mgr->reports_in_current_epoch(), 7u);
+  EXPECT_EQ(mgr->current_epoch(), 0u);
+
+  ASSERT_TRUE(mgr->CloseEpoch().ok());
+  EXPECT_EQ(PersistedReportCount(*store, 0), 7u);
+  auto window_or = mgr->WindowedQuery(0, 0);
+  ASSERT_TRUE(window_or.ok());
+  auto window = std::move(window_or).value();
+  auto want = DirectAggregate(config, reports, 0, 7);
+  ExpectSameEstimates(*window, *want);
+  ASSERT_TRUE(mgr->Close().ok());
+}
+
+// The value of the unlabeled sample \p name in the /metrics exposition.
+double ScrapeMetric(const std::string& name) {
+  const std::string text = obs::MetricsRegistry::Global().DumpText();
+  const std::string prefix = "\n" + name + " ";
+  const size_t at = text.find(prefix);
+  return at == std::string::npos
+             ? 0.0
+             : std::stod(text.substr(at + prefix.size()));
+}
+
+// The durable network path decodes through the aggregator's instrumented
+// decode, so its frames show in the wire instruments, the
+// ingest.submit_wire span family and /statusz like any other ingest.
+TEST_F(EpochManagerTest, SubmitWireFeedsWireInstruments) {
+  const ProtocolConfig config = OracleConfig("hadamard_response", 32, 1.0);
+  const auto reports = EncodeReports(config, 7, 37);
+  auto store = OpenStore();
+  EpochManagerOptions opts;
+  opts.reports_per_epoch = 10;
+  auto mgr = OpenManager(config, store.get(), opts);
+  ASSERT_TRUE(mgr->Start().ok());
+
+  const std::shared_ptr<obs::SpanFamily> spans =
+      obs::SpanSampler::Global().Family("ingest.submit_wire");
+  const double bytes_before = ScrapeMetric("ldphh_ingest_wire_bytes_total");
+  const double decodes_before =
+      ScrapeMetric("ldphh_ingest_wire_decode_duration_ns_count");
+  const double rejected_before =
+      ScrapeMetric("ldphh_ingest_wire_rejected_batches_total");
+  const uint64_t spans_before = spans->Count();
+
+  const std::string frame = Frame(config, reports, 0, 7);
+  ASSERT_TRUE(mgr->SubmitWire(frame).ok());
+  EXPECT_EQ(ScrapeMetric("ldphh_ingest_wire_bytes_total") - bytes_before,
+            static_cast<double>(frame.size()));
+  EXPECT_EQ(
+      ScrapeMetric("ldphh_ingest_wire_decode_duration_ns_count") -
+          decodes_before,
+      1.0);
+  EXPECT_EQ(spans->Count() - spans_before, 1u);
+
+  // /statusz: the open epoch's ingest section counts the frame's bits.
+  obs::JsonValue statusz;
+  ASSERT_TRUE(
+      obs::ParseJson(obs::StatuszRegistry::Global().DumpJson(), &statusz).ok());
+  const obs::JsonValue* sections = statusz.Find("sections");
+  ASSERT_NE(sections, nullptr);
+  const obs::JsonValue* ingest = sections->Find("ingest");
+  ASSERT_NE(ingest, nullptr);
+  ASSERT_EQ(ingest->array.size(), 1u);
+  const obs::JsonValue* pm = ingest->array[0].Find("protocol_metrics");
+  ASSERT_NE(pm, nullptr);
+  ASSERT_NE(pm->Find("comm_bits_total"), nullptr);
+  EXPECT_EQ(pm->Find("comm_bits_total")->number_value,
+            static_cast<double>(8 * frame.size()));
+
+  const ProtocolConfig other = OracleConfig("k_rr", 32, 1.0);
+  EXPECT_FALSE(mgr->SubmitWire(Frame(other, reports, 0, 7)).ok());
+  EXPECT_EQ(
+      ScrapeMetric("ldphh_ingest_wire_rejected_batches_total") -
+          rejected_before,
+      1.0);
+  EXPECT_EQ(ScrapeMetric("ldphh_ingest_wire_bytes_total") - bytes_before,
+            static_cast<double>(frame.size()));
+  ASSERT_TRUE(mgr->Close().ok());
+}
+
+// On SubmitWire the wall-clock roll is checked once per slice: a frame that
+// arrives after the deadline lands whole in the old epoch, which then
+// closes. (Submit is a slice of one, so it still rolls right after the
+// first late report: WallClockRollClosesEpochMidCount.)
+TEST_F(EpochManagerTest, SubmitWireWallClockRollKeepsFrameWhole) {
+  const ProtocolConfig config = OracleConfig("hadamard_response", 32, 1.0);
+  const auto reports = EncodeReports(config, 14, 41);
+
+  auto fake_now = std::make_shared<std::chrono::steady_clock::time_point>();
+  auto store = OpenStore();
+  EpochManagerOptions opts;
+  opts.reports_per_epoch = 1 << 20;  // Count policy never fires here.
+  opts.epoch_max_duration = std::chrono::milliseconds(1000);
+  opts.clock = [fake_now] { return *fake_now; };
+  auto mgr = OpenManager(config, store.get(), opts);
+  ASSERT_TRUE(mgr->Start().ok());
+
+  ASSERT_TRUE(mgr->SubmitWire(Frame(config, reports, 0, 7)).ok());
+  EXPECT_EQ(mgr->current_epoch(), 0u);
+  *fake_now += std::chrono::milliseconds(1500);
+  ASSERT_TRUE(mgr->SubmitWire(Frame(config, reports, 7, 14)).ok());
+  EXPECT_EQ(mgr->current_epoch(), 1u);
+  EXPECT_EQ(mgr->reports_in_current_epoch(), 0u);
+  EXPECT_EQ(PersistedReportCount(*store, 0), 14u);
+
+  auto window_or = mgr->WindowedQuery(0, 0);
+  ASSERT_TRUE(window_or.ok());
+  auto window = std::move(window_or).value();
+  auto want = DirectAggregate(config, reports, 0, 14);
+  ExpectSameEstimates(*window, *want);
+  ASSERT_TRUE(mgr->Close().ok());
 }
 
 // The ISSUE acceptance criterion: a kill at every compaction phase loses no

@@ -372,7 +372,7 @@ TEST(Exposition, EveryExportedNameAppearsInDumpText) {
   agg_opts.num_shards = 2;
   auto service = std::move(ShardedAggregator::Create(config, agg_opts)).value();
   ASSERT_TRUE(service->Start().ok());
-  for (const WireReport& r : reports) ASSERT_TRUE(service->Submit(r).ok());
+  ASSERT_TRUE(service->SubmitBatch(reports).ok());
   ASSERT_TRUE(service->Drain().ok());
   {
     CheckpointWriter log;

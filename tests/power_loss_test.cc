@@ -449,7 +449,7 @@ TEST(CheckpointPowerLossTest, AckedAggregatorCheckpointSurvives) {
   {
     auto agg = std::move(ShardedAggregator::Create(config, agg_opts)).value();
     ASSERT_TRUE(agg->Start().ok());
-    for (const WireReport& r : reports) ASSERT_TRUE(agg->Submit(r).ok());
+    ASSERT_TRUE(agg->SubmitBatch(reports).ok());
     CheckpointWriter log;
     ASSERT_TRUE(log.Open(log_path, &fs, SyncMode::kFull).ok());
     ASSERT_TRUE(agg->WriteCheckpoint(log).ok());  // Acked: Flush+Sync inside.

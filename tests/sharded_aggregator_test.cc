@@ -47,6 +47,13 @@ std::vector<WireReport> EncodeReports(const ProtocolConfig& config, uint64_t n,
                              config.GetUintOr("domain", 0));
 }
 
+// reports[lo, hi) as a batch of its own.
+std::vector<WireReport> Slice(const std::vector<WireReport>& reports,
+                              size_t lo, size_t hi) {
+  return std::vector<WireReport>(reports.begin() + static_cast<ptrdiff_t>(lo),
+                                 reports.begin() + static_cast<ptrdiff_t>(hi));
+}
+
 std::unique_ptr<ShardedAggregator> MustCreateSharded(
     const ProtocolConfig& config, const ShardedAggregatorOptions& opts) {
   auto agg_or = ShardedAggregator::Create(config, opts);
@@ -129,7 +136,7 @@ TEST(ShardedAggregator, CheckpointRestoreResumesMidIngest) {
   {
     auto agg = MustCreateSharded(config, opts);
     ASSERT_TRUE(agg->Start().ok());
-    for (size_t i = 0; i < cut; ++i) ASSERT_TRUE(agg->Submit(reports[i]).ok());
+    ASSERT_TRUE(agg->SubmitBatch(Slice(reports, 0, cut)).ok());
     CheckpointWriter log;
     ASSERT_TRUE(log.Open(path).ok());
     ASSERT_TRUE(agg->WriteCheckpoint(log).ok());
@@ -143,7 +150,7 @@ TEST(ShardedAggregator, CheckpointRestoreResumesMidIngest) {
     ASSERT_TRUE(log.Open(path).ok());
     ASSERT_TRUE(agg->RestoreCheckpoint(log).ok());
     ASSERT_TRUE(agg->Start().ok());
-    for (size_t i = cut; i < n; ++i) ASSERT_TRUE(agg->Submit(reports[i]).ok());
+    ASSERT_TRUE(agg->SubmitBatch(Slice(reports, cut, n)).ok());
     auto merged_or = agg->Finish();
     ASSERT_TRUE(merged_or.ok()) << merged_or.status().ToString();
     auto merged = std::move(merged_or).value();
@@ -176,8 +183,12 @@ TEST(ShardedAggregator, CheckpointDuringConcurrentIngestLosesNothing) {
 
   CheckpointWriter log;
   ASSERT_TRUE(log.Open(path).ok());
+  // Small batches, so the checkpoints land between (and during) them.
   std::thread producer([&] {
-    for (const WireReport& r : reports) ASSERT_TRUE(agg->Submit(r).ok());
+    for (size_t lo = 0; lo < reports.size(); lo += 64) {
+      const size_t hi = std::min(lo + 64, reports.size());
+      ASSERT_TRUE(agg->SubmitBatch(Slice(reports, lo, hi)).ok());
+    }
   });
   for (int c = 0; c < 5; ++c) ASSERT_TRUE(agg->WriteCheckpoint(log).ok());
   producer.join();
@@ -207,9 +218,9 @@ TEST(ShardedAggregator, RestorePicksLastCompleteCheckpoint) {
     ASSERT_TRUE(agg->Start().ok());
     CheckpointWriter log;
     ASSERT_TRUE(log.Open(path).ok());
-    for (size_t i = 0; i < 1000; ++i) ASSERT_TRUE(agg->Submit(reports[i]).ok());
+    ASSERT_TRUE(agg->SubmitBatch(Slice(reports, 0, 1000)).ok());
     ASSERT_TRUE(agg->WriteCheckpoint(log).ok());
-    for (size_t i = 1000; i < 1500; ++i) ASSERT_TRUE(agg->Submit(reports[i]).ok());
+    ASSERT_TRUE(agg->SubmitBatch(Slice(reports, 1000, 1500)).ok());
     ASSERT_TRUE(agg->WriteCheckpoint(log).ok());  // Supersedes the first.
   }
   auto agg = MustCreateSharded(config, opts);
@@ -256,8 +267,7 @@ TEST(ShardedAggregator, RestoreRejectsConfigMismatch) {
   {
     auto agg = MustCreateSharded(config, opts);
     ASSERT_TRUE(agg->Start().ok());
-    const auto reports = EncodeReports(config, 500, 8);
-    for (const WireReport& r : reports) ASSERT_TRUE(agg->Submit(r).ok());
+    ASSERT_TRUE(agg->SubmitBatch(EncodeReports(config, 500, 8)).ok());
     CheckpointWriter log;
     ASSERT_TRUE(log.Open(path).ok());
     ASSERT_TRUE(agg->WriteCheckpoint(log).ok());
@@ -460,9 +470,7 @@ TEST(ShardedAggregatorCheckpoint, WriteCheckpointSurfacesSyncFailure) {
   opts.num_shards = 2;
   auto agg = MustCreateSharded(config, opts);
   ASSERT_TRUE(agg->Start().ok());
-  for (const WireReport& r : EncodeReports(config, 256, 11)) {
-    ASSERT_TRUE(agg->Submit(r).ok());
-  }
+  ASSERT_TRUE(agg->SubmitBatch(EncodeReports(config, 256, 11)).ok());
 
   FaultInjectingFileSystem fs;
   CheckpointWriter log;
@@ -472,9 +480,7 @@ TEST(ShardedAggregatorCheckpoint, WriteCheckpointSurfacesSyncFailure) {
 
   // The fault clears: ingestion was never wedged and the checkpoint lands.
   fs.set_fail_file_syncs(false);
-  for (const WireReport& r : EncodeReports(config, 64, 12)) {
-    ASSERT_TRUE(agg->Submit(r).ok());
-  }
+  ASSERT_TRUE(agg->SubmitBatch(EncodeReports(config, 64, 12)).ok());
   EXPECT_TRUE(agg->WriteCheckpoint(log).ok());
   ASSERT_TRUE(agg->Finish().ok());
 }
