@@ -1,7 +1,7 @@
 // Ingestion-service throughput: reports/sec through ShardedAggregator as a
 // function of shard count, the wire-codec encode/decode rates, and the
 // full network path — framed batches over TCP/UDS loopback through
-// ReportServer, in-memory and into fsync'd epochs (kFull + group commit).
+// ReportServer, in-memory and into fsync'd epochs (SyncMode::kFull).
 //
 //   ./bench_ingest --benchmark_counters_tabular=true
 //
@@ -9,7 +9,9 @@
 // shard counts {1, 2, 4, 8}: items_per_second is ingested reports/sec.
 // For the network front-end it is BM_NetIngestDurable: reports/sec over
 // loopback with every epoch checkpoint fsync'd (frames are acked before
-// their epoch is; see that benchmark's comment).
+// their epoch is; see that benchmark's comment). BM_NetIngestDurableKrr
+// runs the same path with a one-add-per-report oracle, so the sink's
+// hand-off to the shards, not Aggregate, bounds it.
 
 #include <benchmark/benchmark.h>
 
@@ -49,20 +51,31 @@ ProtocolConfig Config() {
   return config;
 }
 
-// Client-side encodes are expensive relative to aggregation, so the report
+// k-ary randomized response over the same domain: Aggregate is one add per
+// report, so a durable column on it is bound by the path to the shards.
+ProtocolConfig KrrConfig() {
+  ProtocolConfig config("k_rr");
+  config.SetUint("domain", kDomain).SetDouble("eps", 1.0);
+  return config;
+}
+
+// Client-side encodes are expensive relative to aggregation, so each report
 // stream is produced once and replayed by every benchmark iteration.
+std::vector<WireReport> EncodeReports(const ProtocolConfig& config) {
+  auto client = std::move(CreateAggregator(config)).value();
+  Rng rng(2024);
+  std::vector<WireReport> reports;
+  reports.reserve(kNumReports);
+  for (uint64_t i = 0; i < kNumReports; ++i) {
+    const uint64_t value = rng.Bernoulli(0.25) ? 42 : rng.UniformU64(kDomain);
+    reports.push_back(client->Encode(i, DomainItem(value), rng).value());
+  }
+  return reports;
+}
+
 const std::vector<WireReport>& Reports() {
-  static const std::vector<WireReport>* reports = [] {
-    auto client = std::move(CreateAggregator(Config())).value();
-    Rng rng(2024);
-    auto* r = new std::vector<WireReport>();
-    r->reserve(kNumReports);
-    for (uint64_t i = 0; i < kNumReports; ++i) {
-      const uint64_t value = rng.Bernoulli(0.25) ? 42 : rng.UniformU64(kDomain);
-      r->push_back(client->Encode(i, DomainItem(value), rng).value());
-    }
-    return r;
-  }();
+  static const auto* reports =
+      new std::vector<WireReport>(EncodeReports(Config()));
   return *reports;
 }
 
@@ -94,27 +107,35 @@ void BM_ShardedIngest(benchmark::State& state) {
 BENCHMARK(BM_ShardedIngest)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// The report stream of Reports(), pre-framed into 512-report batch
-// payloads stamped with the protocol's registry wire id (stable across
-// aggregator instances), so the network benches measure transport +
-// ingestion, not encoding.
+// A report stream pre-framed into 512-report batch payloads stamped with
+// the protocol's registry wire id (stable across aggregator instances), so
+// the network benches measure transport + ingestion, not encoding.
+std::vector<std::string> FrameReports(const ProtocolConfig& config,
+                                      const std::vector<WireReport>& reports) {
+  const uint16_t wire_id =
+      std::move(ShardedAggregator::Create(config, {})).value()->wire_id();
+  constexpr size_t kBatch = 512;
+  std::vector<std::string> frames;
+  frames.reserve(reports.size() / kBatch + 1);
+  for (size_t lo = 0; lo < reports.size(); lo += kBatch) {
+    const size_t hi = lo + kBatch < reports.size() ? lo + kBatch
+                                                   : reports.size();
+    frames.push_back(EncodeReportBatch(
+        std::vector<WireReport>(reports.begin() + lo, reports.begin() + hi),
+        wire_id));
+  }
+  return frames;
+}
+
 const std::vector<std::string>& BatchFrames() {
-  static const std::vector<std::string>* frames = [] {
-    const auto& reports = Reports();
-    const uint16_t wire_id =
-        std::move(ShardedAggregator::Create(Config(), {})).value()->wire_id();
-    constexpr size_t kBatch = 512;
-    auto* f = new std::vector<std::string>();
-    f->reserve(reports.size() / kBatch + 1);
-    for (size_t lo = 0; lo < reports.size(); lo += kBatch) {
-      const size_t hi = lo + kBatch < reports.size() ? lo + kBatch
-                                                     : reports.size();
-      f->push_back(EncodeReportBatch(
-          std::vector<WireReport>(reports.begin() + lo, reports.begin() + hi),
-          wire_id));
-    }
-    return f;
-  }();
+  static const auto* frames =
+      new std::vector<std::string>(FrameReports(Config(), Reports()));
+  return *frames;
+}
+
+const std::vector<std::string>& KrrFrames() {
+  static const auto* frames = new std::vector<std::string>(
+      FrameReports(KrrConfig(), EncodeReports(KrrConfig())));
   return *frames;
 }
 
@@ -125,8 +146,8 @@ std::string BenchUdsPath() {
 
 // Drives `clients` threads, each with its own ReportClient, through the
 // pre-framed batches round-robin, then flushes (every frame acked).
-bool DriveClients(const ReportServer& server, bool uds, int clients) {
-  const auto& frames = BatchFrames();
+bool DriveClients(const ReportServer& server, bool uds, int clients,
+                  const std::vector<std::string>& frames) {
   std::atomic<bool> ok{true};
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(clients));
@@ -186,7 +207,7 @@ void NetIngest(benchmark::State& state, bool uds) {
       return;
     }
     auto server = std::move(server_or).value();
-    if (!DriveClients(*server, uds, clients)) {
+    if (!DriveClients(*server, uds, clients, BatchFrames())) {
       state.SkipWithError("client failed");
       return;
     }
@@ -216,10 +237,10 @@ BENCHMARK(BM_NetIngestUds)->Arg(1)->Arg(4)
 // snapshot every 2^15 reports plus the final Close. Durability is not all
 // the way on: SubmitWire acks a frame once its reports are queued in
 // memory, before their epoch is fsync'd, so a crash loses the acked
-// reports of the open epoch. The store also turns on group_commit, which
-// CheckpointStoreOptions leaves off by default. sink_threads = 1 because
-// EpochManager's control surface is single-threaded.
-void BM_NetIngestDurable(benchmark::State& state) {
+// reports of the open epoch. sink_threads = 1 because EpochManager's
+// control surface is single-threaded.
+void NetIngestDurable(benchmark::State& state, const ProtocolConfig& config,
+                      const std::vector<std::string>& frames, int num_shards) {
   const int clients = static_cast<int>(state.range(0));
   const std::string dir = fs::temp_directory_path().string() +
                           "/ldphh_bench_net_durable_" +
@@ -229,7 +250,6 @@ void BM_NetIngestDurable(benchmark::State& state) {
     fs::remove_all(dir);
     CheckpointStoreOptions store_opts;
     store_opts.sync_mode = SyncMode::kFull;
-    store_opts.group_commit = true;
     auto store_or = CheckpointStore::Open(dir, store_opts);
     if (!store_or.ok()) {
       state.SkipWithError("store open failed");
@@ -238,11 +258,10 @@ void BM_NetIngestDurable(benchmark::State& state) {
     auto store = std::move(store_or).value();
     EpochManagerOptions manager_opts;
     manager_opts.reports_per_epoch = 1 << 15;
-    manager_opts.aggregator.num_shards = 2;
+    manager_opts.aggregator.num_shards = num_shards;
     manager_opts.aggregator.queue_capacity = 1 << 14;
     manager_opts.aggregator.batch_size = 512;
-    auto manager_or = EpochManager::Create(Config(), store.get(),
-                                           manager_opts);
+    auto manager_or = EpochManager::Create(config, store.get(), manager_opts);
     if (!manager_or.ok() || !manager_or.value()->Start().ok()) {
       state.SkipWithError("epoch manager start failed");
       return;
@@ -259,7 +278,7 @@ void BM_NetIngestDurable(benchmark::State& state) {
     }
     auto server = std::move(server_or).value();
     state.ResumeTiming();
-    if (!DriveClients(*server, /*uds=*/false, clients)) {
+    if (!DriveClients(*server, /*uds=*/false, clients, frames)) {
       state.SkipWithError("client failed");
       return;
     }
@@ -273,8 +292,19 @@ void BM_NetIngestDurable(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kNumReports));
   state.counters["clients"] = static_cast<double>(clients);
+  state.counters["shards"] = static_cast<double>(num_shards);
+}
+
+void BM_NetIngestDurable(benchmark::State& state) {
+  NetIngestDurable(state, Config(), BatchFrames(), /*num_shards=*/2);
 }
 BENCHMARK(BM_NetIngestDurable)->Arg(2)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_NetIngestDurableKrr(benchmark::State& state) {
+  NetIngestDurable(state, KrrConfig(), KrrFrames(), /*num_shards=*/4);
+}
+BENCHMARK(BM_NetIngestDurableKrr)->Arg(2)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_EncodeBatch(benchmark::State& state) {

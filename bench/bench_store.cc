@@ -9,10 +9,10 @@
 // BM_StoreCompaction (consolidated MB/s). BM_StorePut runs one column per
 // SyncMode (none/data/full) so the fsync cost of power-loss durability is
 // on the record — see docs/storage.md for reference numbers. The
-// multi-writer columns (BM_StorePutMultiWriter / BM_StorePutGroupCommit)
-// measure N concurrent acknowledged-durable writers with the group-commit
-// lane off vs on; the group column's syncs_per_put counter is the
-// coalescing ratio (group commits per acked intent). The replica
+// BM_StorePutGroupCommit columns measure 1 and 8 concurrent
+// acknowledged-durable writers through the group-commit lane (every store
+// write's path); their syncs_per_put counter is the coalescing ratio
+// (group commits per acked intent). The replica
 // columns (BM_ReplicaTailCatchup / BM_ReplicaIdlePoll / BM_ReplicaGet)
 // measure the read-only follower: tail-lag absorption per poll, the idle
 // poll floor, and snapshot read throughput.
@@ -64,9 +64,10 @@ CheckpointStoreOptions BenchOptions(SyncMode sync_mode = SyncMode::kNone) {
   return o;
 }
 
-// Checkpoint-write throughput per SyncMode: none (flush-to-OS, the pre-
-// fsync contract), data (fdatasync per Put), full (fsync per Put). The
-// none→full gap is the price of power-loss durability.
+// Checkpoint-write throughput per SyncMode for one writer (so every group
+// is one Put): none (flush-to-OS, the pre-fsync contract), data (fdatasync
+// per Put), full (fsync per Put). The none→full gap is the price of
+// power-loss durability.
 void BM_StorePut(benchmark::State& state) {
   const size_t blob_size = static_cast<size_t>(state.range(0));
   const SyncMode sync_mode = static_cast<SyncMode>(state.range(1));
@@ -99,25 +100,22 @@ BENCHMARK(BM_StorePut)
 
 // Concurrent acknowledged-durable writers against one store, kFull @1 KB —
 // the group-commit lane's reason to exist. Every thread's Put must be
-// durable on return; with the lane off each Put pays its own fsync, with it
-// on the queue leader coalesces every waiting writer into one append + one
-// sync. syncs_per_put (group commits / acked intents, from the store's own
-// counters) is the coalescing evidence: <0.3 at 8 writers means groups
-// average more than 3 intents. The single-writer lane-on state is pinned
-// bit-for-bit by tests/group_commit_test.cc, so only the multi-writer
-// columns run with the lane enabled here.
+// durable on return; the queue leader coalesces every waiting writer into
+// one append + one sync. syncs_per_put (group commits / acked intents, from
+// the store's own counters) is the coalescing evidence: 1.0 for one writer,
+// and <0.3 at 8 writers means groups average more than 3 intents.
 std::unique_ptr<CheckpointStore> shared_put_store;
 std::string shared_put_dir;
 
-void RunStorePutConcurrent(benchmark::State& state, bool group_commit) {
+void BM_StorePutGroupCommit(benchmark::State& state) {
   constexpr size_t kBlob = 1 << 10;
   if (state.thread_index() == 0) {
-    shared_put_dir = BenchDir(group_commit ? "put_group" : "put_mt");
+    shared_put_dir = BenchDir("put_group");
     fs::remove_all(shared_put_dir);
-    CheckpointStoreOptions options = BenchOptions(SyncMode::kFull);
-    options.group_commit = group_commit;
     shared_put_store =
-        std::move(CheckpointStore::Open(shared_put_dir, options)).value();
+        std::move(CheckpointStore::Open(shared_put_dir,
+                                        BenchOptions(SyncMode::kFull)))
+            .value();
   }
   // Pre-built blobs: the timed region measures the store, not the RNG.
   std::vector<std::string> blobs;
@@ -133,34 +131,18 @@ void RunStorePutConcurrent(benchmark::State& state, bool group_commit) {
   }
   state.SetItemsProcessed(state.iterations());
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(kBlob));
-  state.SetLabel(std::string("sync=full group=") +
-                 (group_commit ? "on" : "off"));
+  state.SetLabel("sync=full");
   if (state.thread_index() == 0) {
     const CheckpointStoreStats stats = shared_put_store->Stats();
     state.counters["syncs_per_put"] =
-        group_commit
-            ? static_cast<double>(stats.group_commits) /
-                  std::max<double>(
-                      1.0, static_cast<double>(stats.group_commit_writes))
-            : 1.0;
+        static_cast<double>(stats.group_commits) /
+        std::max<double>(1.0, static_cast<double>(stats.group_commit_writes));
     shared_put_store.reset();
     fs::remove_all(shared_put_dir);
   }
 }
-
-void BM_StorePutMultiWriter(benchmark::State& state) {
-  RunStorePutConcurrent(state, /*group_commit=*/false);
-}
-BENCHMARK(BM_StorePutMultiWriter)
-    ->Threads(1)->Threads(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_StorePutGroupCommit(benchmark::State& state) {
-  RunStorePutConcurrent(state, /*group_commit=*/true);
-}
 BENCHMARK(BM_StorePutGroupCommit)
-    ->Threads(8)
+    ->Threads(1)->Threads(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

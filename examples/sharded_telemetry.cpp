@@ -6,13 +6,10 @@
 // from that one string. Each client privatizes its value locally and ships
 // the report in the compact wire format, stamped with the protocol's wire
 // id; the ingestion service rejects batches for the wrong protocol at
-// decode time, fans accepted reports out across worker shards, and
-// periodically checkpoints every shard's state — with the config embedded,
-// so the log is self-describing — to an append-only CRC-guarded log.
-// Mid-stream, this demo kills the service outright and recovers from the
-// checkpoint, replaying only the reports that arrived after it: the final
-// estimates are bit-for-bit what a single-threaded, crash-free server would
-// have produced.
+// decode time and fans accepted reports out across worker shards. Finish()
+// merges the shards into one aggregator whose estimates are bit-for-bit
+// what a single-threaded server would have produced, which the demo checks.
+// (Durability is the epoch layer's job: see continuous_heavy_hitters.cpp.)
 //
 // With `--admin-port=N` the demo also starts the live admin plane on
 // 127.0.0.1:N (0 = pick a free port) and, after the verification phase,
@@ -34,7 +31,6 @@
 #include "src/common/timer.h"
 #include "src/core/ldphh.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/server/admin_server.h"
 
 namespace {
@@ -138,116 +134,81 @@ int main(int argc, char** argv) {
               wire_batches.size(), static_cast<double>(wire_bytes) / (1 << 20),
               static_cast<double>(wire_bytes) / static_cast<double>(n));
 
-  const std::string ckpt_path = "/tmp/ldphh_sharded_telemetry.ckpt";
-  std::remove(ckpt_path.c_str());
   ShardedAggregatorOptions opts;
   opts.num_shards = kShards;
   opts.queue_capacity = 1 << 14;
   opts.batch_size = 512;
 
-  // --- phase 1: the service ingests 60% of the traffic, checkpoints, dies -
-  const size_t cut = wire_batches.size() * 6 / 10;
-  {
-    auto service_or = ShardedAggregator::Create(config, opts);
-    if (!service_or.ok()) return 1;
-    auto service = std::move(service_or).value();
-    if (!service->Start().ok()) return 1;
+  // --- the service ingests the whole stream, then merges its shards -------
+  auto service_or = ShardedAggregator::Create(config, opts);
+  if (!service_or.ok()) return 1;
+  auto service = std::move(service_or).value();
+  if (!service->Start().ok()) return 1;
 
-    // A batch stamped for a different protocol bounces at the front door.
-    const uint16_t foreign_id =
-        ProtocolRegistry::Global().WireIdOf("k_rr").value();
-    std::vector<WireReport> dummy(1);
-    const Status bounced =
-        service->SubmitWire(EncodeReportBatch(dummy, foreign_id));
-    std::printf("wrong-protocol batch rejected: %s\n",
-                bounced.ToString().c_str());
+  // A batch stamped for a different protocol bounces at the front door.
+  const uint16_t foreign_id =
+      ProtocolRegistry::Global().WireIdOf("k_rr").value();
+  std::vector<WireReport> dummy(1);
+  const Status bounced =
+      service->SubmitWire(EncodeReportBatch(dummy, foreign_id));
+  std::printf("wrong-protocol batch rejected: %s\n",
+              bounced.ToString().c_str());
 
-    Timer t;
-    for (size_t b = 0; b < cut; ++b) {
-      if (!service->SubmitWire(wire_batches[b]).ok()) return 1;
+  Timer t;
+  for (const auto& wire : wire_batches) {
+    if (!service->SubmitWire(wire).ok()) return 1;
+  }
+  auto merged_or = service->Finish();
+  if (!merged_or.ok()) return 1;
+  auto merged = std::move(merged_or).value();
+  const IngestStats stats = service->Stats();
+  std::printf("ingested %llu reports on %d shards (%.2fM reports/s)\n",
+              static_cast<unsigned long long>(stats.submitted), kShards,
+              static_cast<double>(stats.submitted) / t.Seconds() / 1e6);
+
+  // --- compare against a single-threaded server ---------------------------
+  auto baseline_or = CreateAggregator(config);
+  if (!baseline_or.ok()) return 1;
+  auto baseline = std::move(baseline_or).value();
+  for (const auto& wire : wire_batches) {
+    std::vector<WireReport> reports;
+    if (!DecodeReportBatch(wire, &reports).ok()) return 1;
+    for (const auto& r : reports) {
+      if (!baseline->Aggregate(r).ok()) return 1;
     }
-    if (!service->Drain().ok()) return 1;
-    const IngestStats stats = service->Stats();
-    std::printf("phase 1: ingested %llu reports on %d shards (%.2fM reports/s)\n",
-                static_cast<unsigned long long>(stats.submitted), kShards,
-                static_cast<double>(stats.submitted) / t.Seconds() / 1e6);
-    CheckpointWriter log;
-    if (!log.Open(ckpt_path).ok()) return 1;
-    if (!service->WriteCheckpoint(log).ok()) return 1;
-    std::printf("phase 1: self-describing checkpoint written, then the "
-                "server crashes.\n");
-    // `service` is destroyed here with all in-memory state lost.
   }
 
-  // --- phase 2: recover from the log and ingest the remaining traffic -----
-  {
-    auto service_or = ShardedAggregator::Create(config, opts);
-    if (!service_or.ok()) return 1;
-    auto service = std::move(service_or).value();
-    CheckpointReader log;
-    if (!log.Open(ckpt_path).ok()) return 1;
-    const Status restored = service->RestoreCheckpoint(log);
-    if (!restored.ok()) {
-      std::printf("recovery failed: %s\n", restored.ToString().c_str());
-      return 1;
-    }
-    std::printf("phase 2: recovered %llu reports from the checkpoint\n",
-                static_cast<unsigned long long>(service->Stats().restored));
-    if (!service->Start().ok()) return 1;
-    for (size_t b = cut; b < wire_batches.size(); ++b) {
-      if (!service->SubmitWire(wire_batches[b]).ok()) return 1;
-    }
-    auto merged_or = service->Finish();
-    if (!merged_or.ok()) return 1;
-    auto merged = std::move(merged_or).value();
-
-    // --- compare against a crash-free single-threaded server --------------
-    auto baseline_or = CreateAggregator(config);
-    if (!baseline_or.ok()) return 1;
-    auto baseline = std::move(baseline_or).value();
-    for (const auto& wire : wire_batches) {
-      std::vector<WireReport> reports;
-      if (!DecodeReportBatch(wire, &reports).ok()) return 1;
-      for (const auto& r : reports) {
-        if (!baseline->Aggregate(r).ok()) return 1;
-      }
-    }
-
-    auto got_or = merged->EstimateTopK(kDomain);
-    auto want_or = baseline->EstimateTopK(kDomain);
-    if (!got_or.ok() || !want_or.ok()) return 1;
-    const auto& got = got_or.value();
-    const auto& want = want_or.value();
-    bool identical = got.size() == want.size();
-    for (size_t i = 0; identical && i < got.size(); ++i) {
-      identical = got[i].item == want[i].item &&
-                  got[i].estimate == want[i].estimate;
-    }
-    std::printf("estimate for the planted value 42: %.0f (true %.0f)\n",
-                EstimateOf(got, 42), 0.25 * static_cast<double>(n));
-    std::printf("sharded+recovered == sequential baseline: %s\n",
-                identical ? "bit-for-bit identical" : "MISMATCH");
-
-    // Keep the admin plane up while the service and its instruments are
-    // still live, so scrapes see the full run (queue gauges, span samples,
-    // ingest statusz). Ctrl-C or SIGTERM ends the linger early.
-    if (admin != nullptr) {
-      const int linger = serve_seconds >= 0 ? serve_seconds : 60;
-      std::printf("serving admin plane for up to %d s "
-                  "(SIGINT/SIGTERM to stop)...\n",
-                  linger);
-      ServeAdminPlane(linger);
-      admin->Stop();
-    }
-
-    // Everything above left a metrics trail: ingest counters and latencies,
-    // fsync distributions, the privacy budget actually spent. One dump
-    // shows it all — the same text a scrape endpoint would serve.
-    std::printf("\n--- metrics (MetricsRegistry DumpText) ---\n%s",
-                obs::MetricsRegistry::Global().DumpText().c_str());
-    std::printf("\n--- trace (last structural events) ---\n%s",
-                obs::TraceRing::Global().DumpText().c_str());
-    std::remove(ckpt_path.c_str());
-    return identical ? 0 : 1;
+  auto got_or = merged->EstimateTopK(kDomain);
+  auto want_or = baseline->EstimateTopK(kDomain);
+  if (!got_or.ok() || !want_or.ok()) return 1;
+  const auto& got = got_or.value();
+  const auto& want = want_or.value();
+  bool identical = got.size() == want.size();
+  for (size_t i = 0; identical && i < got.size(); ++i) {
+    identical = got[i].item == want[i].item &&
+                got[i].estimate == want[i].estimate;
   }
+  std::printf("estimate for the planted value 42: %.0f (true %.0f)\n",
+              EstimateOf(got, 42), 0.25 * static_cast<double>(n));
+  std::printf("sharded == sequential baseline: %s\n",
+              identical ? "bit-for-bit identical" : "MISMATCH");
+
+  // Keep the admin plane up while the service and its instruments are
+  // still live, so scrapes see the full run (queue gauges, span samples,
+  // ingest statusz). Ctrl-C or SIGTERM ends the linger early.
+  if (admin != nullptr) {
+    const int linger = serve_seconds >= 0 ? serve_seconds : 60;
+    std::printf("serving admin plane for up to %d s "
+                "(SIGINT/SIGTERM to stop)...\n",
+                linger);
+    ServeAdminPlane(linger);
+    admin->Stop();
+  }
+
+  // Everything above left a metrics trail: ingest counters and latencies,
+  // the privacy budget actually spent. One dump shows it all — the same
+  // text a scrape endpoint would serve.
+  std::printf("\n--- metrics (MetricsRegistry DumpText) ---\n%s",
+              obs::MetricsRegistry::Global().DumpText().c_str());
+  return identical ? 0 : 1;
 }

@@ -212,10 +212,9 @@ Status EpochManager::CloseEpoch() {
     LDPHH_RETURN_IF_ERROR(merged->SerializeState(&blob));
   }
   {
-    // The epoch blob and the clock record commit as one batch: with the
-    // store's group-commit lane on they share a single append + sync
-    // (possibly with concurrent writers); off, Apply degrades to the two
-    // sequential durable Puts this used to issue.
+    // The epoch blob and the clock record commit as one group-commit
+    // member: one append + one sync for the pair (possibly shared with
+    // concurrent writers), and a segment roll never splits them.
     const obs::Span::ChildScope put = span.Child("put");
     std::string clock_blob;
     PutU64(&clock_blob, current_epoch_ + 1);

@@ -1,25 +1,14 @@
 #include "src/server/sharded_aggregator.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
-#include "src/common/serde.h"
 #include "src/common/timer.h"
 #include "src/ldp/privacy_loss.h"
-#include "src/obs/trace.h"
 #include "src/protocols/metrics.h"
 #include "src/protocols/registry.h"
 
 namespace ldphh {
-
-namespace {
-
-// v2 embeds the protocol config (v1 carried only the shard count, so a log
-// said nothing about *what* was checkpointed).
-constexpr uint16_t kCheckpointVersion = 2;
-
-}  // namespace
 
 ShardedAggregator::ShardedAggregator(
     ProtocolConfig config, uint16_t wire_id,
@@ -34,9 +23,6 @@ ShardedAggregator::ShardedAggregator(
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   submitted_ = reg.NewCounter("ldphh_ingest_submitted_reports_total",
                               "Reports accepted by SubmitBatch/SubmitWire");
-  restored_reports_ = reg.NewCounter(
-      "ldphh_ingest_restored_reports_total",
-      "Reports carried in via RestoreCheckpoint");
   rejected_reports_ = reg.NewCounter(
       "ldphh_ingest_rejected_reports_total",
       "Reports the protocol refused (wrong shape for the config)");
@@ -48,12 +34,6 @@ ShardedAggregator::ShardedAggregator(
   batch_aggregate_ns_ = reg.NewHistogram(
       "ldphh_ingest_batch_aggregate_duration_ns",
       "Worker latency aggregating one drained batch", "ns");
-  checkpoint_write_ns_ = reg.NewHistogram(
-      "ldphh_ingest_checkpoint_write_duration_ns",
-      "WriteCheckpoint duration (quiesce + serialize + sync)", "ns");
-  checkpoint_restore_ns_ = reg.NewHistogram(
-      "ldphh_ingest_checkpoint_restore_duration_ns",
-      "RestoreCheckpoint duration (scan + state restore)", "ns");
   wire_bytes_ = reg.NewCounter("ldphh_ingest_wire_bytes_total",
                                "Wire-format bytes of enqueued batches",
                                "bytes");
@@ -83,7 +63,6 @@ ShardedAggregator::ShardedAggregator(
         w.Key("wire_id").Uint(wire_id_);
         w.Key("num_shards").Uint(static_cast<uint64_t>(options_.num_shards));
         w.Key("submitted").Uint(submitted_->Value());
-        w.Key("restored").Uint(restored_reports_->Value());
         w.Key("rejected").Uint(rejected_reports_->Value());
         w.Key("wire_rejected_batches").Uint(wire_rejected_batches_->Value());
         w.Key("queue_depth").BeginArray();
@@ -160,20 +139,13 @@ void ShardedAggregator::WorkerLoop(Shard& shard) {
   for (;;) {
     {
       MutexLock lk(&shard.mu);
-      // The paused_ loads must be seq_cst (not relaxed): WriteCheckpoint
-      // serializes the oracle without holding shard.mu, so the only thing
-      // ordering a resumed worker's Aggregate writes after the serializer's
-      // reads is the paused_ store/load pair itself (paired with the mutex
-      // for the pause direction). A relaxed load synchronizes with nothing
-      // and lets the worker race the snapshot (found by TSan).
       while (!(stop_.load(std::memory_order_relaxed) ||
-               (!paused_.load() && !shard.queue.empty()))) {
+               !shard.queue.empty())) {
         shard.not_empty.Wait();
       }
-      if (shard.queue.empty() || paused_.load()) {
-        if (stop_.load(std::memory_order_relaxed)) return;
-        continue;
-      }
+      // Stopping drains what is queued first; an empty queue here means
+      // stop_ is set.
+      if (shard.queue.empty()) return;
       batch.clear();
       while (!shard.queue.empty() && batch.size() < options_.batch_size) {
         batch.push_back(shard.queue.front());
@@ -184,7 +156,7 @@ void ShardedAggregator::WorkerLoop(Shard& shard) {
     }
     shard.not_full.SignalAll();
     // Aggregation happens outside the queue lock: the oracle is only ever
-    // touched by this worker (or by the main thread once quiesced).
+    // touched by this worker (or by Finish once it is joined).
     // Instrumentation is per-batch (one span + one histogram write per
     // hundreds of reports), keeping the hot path unmeasurable by design;
     // only the slowest batches per family survive in the sampler.
@@ -366,155 +338,6 @@ Status ShardedAggregator::Drain() {
   return Status::OK();
 }
 
-Status ShardedAggregator::WriteCheckpoint(CheckpointWriter& log) {
-  const Timer checkpoint_timer;
-  LDPHH_RETURN_IF_ERROR(Drain());
-  // Pause the workers for the duration of the snapshot: Drain() alone is
-  // not enough when producers keep submitting concurrently, since a worker
-  // could wake and mutate an oracle while it is being serialized. Paused
-  // workers park in their wait loop; producers may continue to enqueue
-  // (bounded queues give backpressure) and nothing submitted after this
-  // point is captured.
-  paused_.store(true);
-  for (auto& shard : shards_) {
-    MutexLock lk(&shard->mu);
-    while (shard->busy) {
-      shard->idle.Wait();
-    }
-  }
-  const Status result = [&]() -> Status {
-    std::string manifest;
-    PutU16(&manifest, kCheckpointVersion);
-    config_.AppendTo(&manifest);
-    PutU32(&manifest, static_cast<uint32_t>(options_.num_shards));
-    PutU64(&manifest, submitted_->Value() + restored_);
-    LDPHH_RETURN_IF_ERROR(log.Append(CheckpointRecordType::kManifest, manifest));
-
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      Shard& shard = *shards_[s];
-      std::string record;
-      PutU32(&record, static_cast<uint32_t>(s));
-      uint64_t ingested;
-      {
-        MutexLock lk(&shard.mu);
-        ingested = shard.ingested;
-      }
-      PutU64(&record, ingested);
-      LDPHH_RETURN_IF_ERROR(shard.oracle->SerializeState(&record));
-      LDPHH_RETURN_IF_ERROR(
-          log.Append(CheckpointRecordType::kShardState, record));
-    }
-    return log.Sync();
-  }();
-  paused_.store(false);
-  for (auto& shard : shards_) {
-    // Under the lock: a worker that just re-checked paused_ and is about to
-    // park must not miss the resume wakeup.
-    MutexLock lk(&shard->mu);
-    shard->not_empty.SignalAll();
-  }
-  checkpoint_write_ns_->Observe(static_cast<uint64_t>(checkpoint_timer.Nanos()));
-  obs::TraceRing::Global().Record("ingest", "checkpoint_write",
-                                  result.ok() ? "" : result.message(),
-                                  submitted_->Value() + restored_,
-                                  static_cast<uint64_t>(options_.num_shards));
-  return result;
-}
-
-Status ShardedAggregator::RestoreCheckpoint(CheckpointReader& log) {
-  if (started_) {
-    return Status::FailedPrecondition(
-        "ShardedAggregator: RestoreCheckpoint after Start");
-  }
-  const Timer restore_timer;
-  // Scan the whole log; recovery applies the last *complete* checkpoint
-  // (a crash while checkpointing leaves a partial set of shard records,
-  // which is simply superseded or ignored).
-  struct Candidate {
-    uint64_t total = 0;
-    std::map<uint32_t, std::pair<uint64_t, std::string>> shard_states;
-  };
-  Candidate current, last_complete;
-  bool have_current = false, have_complete = false;
-
-  for (;;) {
-    CheckpointRecordType type;
-    std::string payload;
-    Status st = log.Read(&type, &payload);
-    if (st.code() == StatusCode::kOutOfRange) break;
-    LDPHH_RETURN_IF_ERROR(st);
-
-    ByteReader reader(payload);
-    if (type == CheckpointRecordType::kManifest) {
-      uint16_t version = 0;
-      uint32_t num_shards = 0;
-      uint64_t total = 0;
-      LDPHH_RETURN_IF_ERROR(reader.ReadU16(&version));
-      if (version != kCheckpointVersion) {
-        return Status::DecodeFailure("checkpoint: unsupported manifest version");
-      }
-      // The config the checkpoint was taken under is embedded in the
-      // manifest: the log is self-describing, and restoring it into a
-      // differently configured service is a hard error, not a silent
-      // mis-merge.
-      ProtocolConfig config;
-      LDPHH_RETURN_IF_ERROR(ProtocolConfig::ReadFrom(reader, &config));
-      if (config != config_) {
-        return Status::InvalidArgument(
-            "checkpoint: config mismatch (log was written by " +
-            config.ToText() + ", this aggregator serves " + config_.ToText() +
-            ")");
-      }
-      LDPHH_RETURN_IF_ERROR(reader.ReadU32(&num_shards));
-      LDPHH_RETURN_IF_ERROR(reader.ReadU64(&total));
-      if (num_shards != static_cast<uint32_t>(options_.num_shards)) {
-        return Status::InvalidArgument(
-            "checkpoint: shard count mismatch (log has " +
-            std::to_string(num_shards) + ", aggregator has " +
-            std::to_string(options_.num_shards) + ")");
-      }
-      current = Candidate{};
-      current.total = total;
-      have_current = true;
-    } else if (type == CheckpointRecordType::kShardState) {
-      if (!have_current) continue;  // Orphan shard record; skip.
-      uint32_t shard_id = 0;
-      uint64_t ingested = 0;
-      LDPHH_RETURN_IF_ERROR(reader.ReadU32(&shard_id));
-      LDPHH_RETURN_IF_ERROR(reader.ReadU64(&ingested));
-      if (shard_id >= static_cast<uint32_t>(options_.num_shards)) {
-        return Status::DecodeFailure("checkpoint: shard id out of range");
-      }
-      current.shard_states[shard_id] = {
-          ingested, std::string(payload.substr(reader.position()))};
-      if (current.shard_states.size() == shards_.size()) {
-        last_complete = current;
-        have_complete = true;
-      }
-    }
-    // Unknown record types are skipped for forward compatibility.
-  }
-
-  if (!have_complete) {
-    return Status::OutOfRange("checkpoint: no complete checkpoint in log");
-  }
-  uint64_t restored = 0;
-  for (const auto& [shard_id, state] : last_complete.shard_states) {
-    Shard& shard = *shards_[shard_id];
-    LDPHH_RETURN_IF_ERROR(shard.oracle->RestoreState(state.second));
-    // Pre-Start, so uncontended — locked to keep the guarded write honest.
-    MutexLock lk(&shard.mu);
-    shard.ingested = state.first;
-    restored += state.first;
-  }
-  restored_ = restored;
-  restored_reports_->Increment(restored);
-  checkpoint_restore_ns_->Observe(static_cast<uint64_t>(restore_timer.Nanos()));
-  obs::TraceRing::Global().Record("ingest", "checkpoint_restore", "", restored,
-                                  static_cast<uint64_t>(options_.num_shards));
-  return Status::OK();
-}
-
 StatusOr<std::unique_ptr<Aggregator>> ShardedAggregator::Finish() {
   if (!started_ || finished_) {
     return Status::FailedPrecondition(
@@ -543,7 +366,6 @@ StatusOr<std::unique_ptr<Aggregator>> ShardedAggregator::Finish() {
 IngestStats ShardedAggregator::Stats() const {
   IngestStats stats;
   stats.submitted = submitted_->Value();
-  stats.restored = restored_;
   stats.per_shard.reserve(shards_.size());
   for (const auto& shard : shards_) {
     MutexLock lk(&shard->mu);

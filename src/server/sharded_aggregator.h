@@ -14,14 +14,10 @@
 /// estimates are bit-for-bit those of a single-threaded aggregation of
 /// the same reports.
 ///
-/// Durability: `WriteCheckpoint` quiesces ingestion and appends a manifest
-/// — which embeds the serialized protocol config, making the checkpoint
-/// self-describing — plus every shard's serialized state to a checkpoint
-/// log; a fresh aggregator can `RestoreCheckpoint` and resume ingesting
-/// mid-stream after a crash, replaying only the reports submitted after
-/// the checkpoint. A restore into an aggregator with a different config or
-/// shard count fails with a descriptive `Status` instead of silently
-/// merging incompatible state.
+/// Durability lives one layer up: `EpochManager` (epoch_manager.h) persists
+/// each closed epoch's merged `Finish()` state as a self-describing epoch
+/// blob through `CheckpointStore` — the one durable format for aggregator
+/// state.
 ///
 /// Wire safety: `SubmitWire` rejects a batch stamped with a different
 /// protocol's wire id (see report_codec.h) before decoding a single
@@ -45,7 +41,6 @@
 #include "src/obs/statusz.h"
 #include "src/protocols/aggregator.h"
 #include "src/protocols/protocol_config.h"
-#include "src/server/checkpoint_log.h"
 #include "src/server/report_codec.h"
 
 namespace ldphh {
@@ -60,7 +55,6 @@ struct ShardedAggregatorOptions {
 /// Ingestion counters (read after Drain/Finish for a consistent view).
 struct IngestStats {
   uint64_t submitted = 0;               ///< Reports accepted by Submit*.
-  uint64_t restored = 0;                ///< Reports carried in via RestoreCheckpoint.
   uint64_t rejected = 0;                ///< Reports the protocol refused
                                         ///< (wrong shape for the config).
   std::vector<uint64_t> per_shard;      ///< Reports aggregated per shard.
@@ -79,7 +73,7 @@ class ShardedAggregator {
   ShardedAggregator(const ShardedAggregator&) = delete;
   ShardedAggregator& operator=(const ShardedAggregator&) = delete;
 
-  /// Spawns the worker threads. Call once, after any RestoreCheckpoint.
+  /// Spawns the worker threads. Call once.
   Status Start();
 
   /// Enqueues a batch (thread-safe; blocks while a target queue is full).
@@ -125,24 +119,10 @@ class ShardedAggregator {
   /// Blocks until every queue is empty and every worker is idle.
   Status Drain();
 
-  /// Quiesces ingestion and appends [manifest, shard states] to \p log,
-  /// finishing with the writer's Sync() — the checkpoint is durable per
-  /// the writer's SyncMode (power-loss durable at the default kFull)
-  /// before this returns success. The manifest embeds the serialized
-  /// protocol config. Ingestion may continue afterwards; the checkpoint
-  /// captures everything submitted before the call.
-  Status WriteCheckpoint(CheckpointWriter& log);
-
-  /// Loads the last complete checkpoint from \p log into the shard
-  /// aggregators. Must be called before Start(). The checkpoint's embedded
-  /// config and shard count are verified against this aggregator's; any
-  /// mismatch fails with a descriptive Status (kInvalidArgument) instead
-  /// of silently mis-merging.
-  Status RestoreCheckpoint(CheckpointReader& log);
-
   /// Stops the workers and merges all shard states into one aggregator,
-  /// which is returned un-finalized, so the caller may checkpoint or merge
-  /// further before calling EstimateTopK(). The service is spent afterwards.
+  /// which is returned un-finalized, so the caller may serialize or merge
+  /// it further before calling EstimateTopK(). The service is spent
+  /// afterwards.
   StatusOr<std::unique_ptr<Aggregator>> Finish();
 
   /// Counters; call Drain() first for a consistent snapshot.
@@ -171,9 +151,8 @@ class ShardedAggregator {
     uint64_t ingested GUARDED_BY(mu) = 0;
     uint64_t rejected GUARDED_BY(mu) = 0;
     /// Deliberately not guarded by mu: the oracle is touched only by the
-    /// owning worker outside the queue lock, or by the main thread once the
-    /// worker is quiesced (paused_ handshake or joined) — an ownership
-    /// handoff, not a shared-state protocol.
+    /// owning worker outside the queue lock, or by Finish once the worker
+    /// is joined — an ownership handoff, not a shared-state protocol.
     std::unique_ptr<Aggregator> oracle;
     std::shared_ptr<obs::Gauge> queue_depth;  ///< ldphh_ingest_queue_depth{shard=}.
     std::thread worker;
@@ -190,10 +169,8 @@ class ShardedAggregator {
   ShardedAggregatorOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> stop_{false};
-  std::atomic<bool> paused_{false};  ///< Workers park while a checkpoint runs.
   bool started_ = false;
   bool finished_ = false;
-  uint64_t restored_ = 0;
   /// Per-report privacy budget of the served randomizer (config "eps");
   /// 0 when the protocol does not declare one.
   double report_epsilon_ = 0.0;
@@ -202,14 +179,11 @@ class ShardedAggregator {
   // per-shard counters above); `submitted_` lives here rather than as a raw
   // atomic so the process-wide exposition sees it too.
   std::shared_ptr<obs::Counter> submitted_;
-  std::shared_ptr<obs::Counter> restored_reports_;
   std::shared_ptr<obs::Counter> rejected_reports_;
   std::shared_ptr<obs::Counter> wire_rejected_batches_;
   std::shared_ptr<obs::Counter> wire_bytes_;
   std::shared_ptr<obs::Histogram> wire_decode_ns_;
   std::shared_ptr<obs::Histogram> batch_aggregate_ns_;
-  std::shared_ptr<obs::Histogram> checkpoint_write_ns_;
-  std::shared_ptr<obs::Histogram> checkpoint_restore_ns_;
   /// Slow-span families for the two ingest hot paths (served at /spanz).
   std::shared_ptr<obs::SpanFamily> submit_wire_spans_;
   std::shared_ptr<obs::SpanFamily> aggregate_spans_;

@@ -132,7 +132,6 @@ StatusOr<std::unique_ptr<CheckpointStore>> CheckpointStore::Open(
         w.Key("puts").Uint(s->puts_->Value());
         w.Key("deletes").Uint(s->deletes_->Value());
         w.Key("appended_bytes").Uint(s->appended_bytes_->Value());
-        w.Key("group_commit").Bool(s->options_.group_commit);
         w.Key("group_commits").Uint(s->group_commits_->Value());
         w.Key("group_commit_writes").Uint(s->group_commit_writes_->Value());
         const Status health = s->WriteHealth();
@@ -363,46 +362,6 @@ Status CheckpointStore::InstallManifestLocked(const std::set<uint64_t>& live,
 
 // ------------------------------------------------------------------ writes --
 
-Status CheckpointStore::AppendRecordLocked(CheckpointRecordType type,
-                                           uint64_t key, std::string_view blob,
-                                           obs::Span& span) {
-  const uint64_t sequence = next_sequence_++;
-  std::string payload;
-  payload.reserve(16 + blob.size());
-  PutU64(&payload, key);
-  PutU64(&payload, sequence);
-  payload.append(blob.data(), blob.size());
-  {
-    const obs::Span::ChildScope append = span.Child("append");
-    LDPHH_RETURN_IF_ERROR(active_writer_.Append(type, payload));
-  }
-  {
-    // Durable before the caller is acknowledged (per sync_mode; the first
-    // sync of a freshly rolled segment also syncs its directory entry).
-    const obs::Span::ChildScope sync = span.Child("sync");
-    LDPHH_RETURN_IF_ERROR(active_writer_.Sync());
-  }
-  active_bytes_ += kCheckpointRecordHeaderSize + payload.size();
-  appended_bytes_->Increment(kCheckpointRecordHeaderSize + payload.size());
-
-  if (type == kStoreEntryRecord) {
-    StoreSegmentEntry entry;
-    entry.sequence = sequence;
-    entry.segment = active_segment_;
-    entry.blob = std::string(blob);
-    entries_[key] = std::move(entry);
-  } else {
-    entries_.erase(key);
-  }
-
-  entries_gauge_->Set(static_cast<double>(entries_.size()));
-  if (active_bytes_ >= options_.segment_max_bytes) {
-    const obs::Span::ChildScope roll = span.Child("roll");
-    LDPHH_RETURN_IF_ERROR(RollActiveLocked());
-  }
-  return Status::OK();
-}
-
 Status CheckpointStore::RollActiveLocked() {
   LDPHH_RETURN_IF_ERROR(active_writer_.Close());
   active_segment_ = next_segment_++;
@@ -580,9 +539,9 @@ Status CheckpointStore::LeadGroupCommit(PendingWrite* self, obs::Span& span) {
 
   if (!result.ok()) {
     // One failed append/sync fails every member of the group — none of
-    // their records is known durable (some may still land, exactly like a
-    // failed single-writer sync). Nothing is applied in memory; the next
-    // group starts clean and heals the write-health latch if it succeeds.
+    // their records is known durable (some may still land, as after any
+    // failed sync). Nothing is applied in memory; the next group starts
+    // clean and heals the write-health latch if it succeeds.
     for (PendingWrite* member : group) {
       group_queue_.pop_front();
       member->status = result;
@@ -653,85 +612,19 @@ void CheckpointStore::MaybeSignalCompaction() {
 Status CheckpointStore::Put(uint64_t key, std::string_view blob) {
   obs::Span span(put_spans_.get());
   span.set_args(key, blob.size());
-  if (options_.group_commit) {
-    StoreWrite w;
-    w.key = key;
-    w.blob = blob;
-    const Status result = GroupWrite(&w, 1, span);
-    RecordWriteHealth(result);
-    if (!result.ok()) {
-      span.set_detail(result.message());
-      return result;
-    }
-    puts_->Increment();
-    put_duration_ns_->Observe(span.ElapsedNs());
-    MaybeSignalCompaction();
-    return Status::OK();
-  }
-  bool wake = false;
-  Status appended;
-  {
-    MutexLock lk(&mu_);
-    if (!active_writer_.is_open()) {
-      return Status::FailedPrecondition("checkpoint store: not open");
-    }
-    appended = AppendRecordLocked(kStoreEntryRecord, key, blob, span);
-    wake = options_.compaction_trigger > 0 &&
-           SealedCountLocked() >= std::max(options_.compaction_trigger, 2);
-  }
-  RecordWriteHealth(appended);
-  if (!appended.ok()) {
-    span.set_detail(appended.message());
-    return appended;
-  }
-  puts_->Increment();
-  put_duration_ns_->Observe(span.ElapsedNs());
-  if (wake) {
-    MutexLock lk(&mu_);
-    work_cv_.Signal();
-  }
-  return Status::OK();
+  StoreWrite w;
+  w.key = key;
+  w.blob = blob;
+  return Commit(&w, 1, span);
 }
 
 Status CheckpointStore::Delete(uint64_t key) {
   obs::Span span(delete_spans_.get());
   span.set_args(key);
-  if (options_.group_commit) {
-    StoreWrite w;
-    w.is_delete = true;
-    w.key = key;
-    const Status result = GroupWrite(&w, 1, span);
-    RecordWriteHealth(result);
-    if (!result.ok()) {
-      span.set_detail(result.message());
-      return result;
-    }
-    deletes_->Increment();
-    MaybeSignalCompaction();
-    return Status::OK();
-  }
-  bool wake = false;
-  Status appended;
-  {
-    MutexLock lk(&mu_);
-    if (!active_writer_.is_open()) {
-      return Status::FailedPrecondition("checkpoint store: not open");
-    }
-    appended = AppendRecordLocked(kStoreTombstoneRecord, key, {}, span);
-    wake = options_.compaction_trigger > 0 &&
-           SealedCountLocked() >= std::max(options_.compaction_trigger, 2);
-  }
-  RecordWriteHealth(appended);
-  if (!appended.ok()) {
-    span.set_detail(appended.message());
-    return appended;
-  }
-  deletes_->Increment();
-  if (wake) {
-    MutexLock lk(&mu_);
-    work_cv_.Signal();
-  }
-  return Status::OK();
+  StoreWrite w;
+  w.is_delete = true;
+  w.key = key;
+  return Commit(&w, 1, span);
 }
 
 Status CheckpointStore::Apply(const std::vector<StoreWrite>& writes) {
@@ -742,50 +635,23 @@ Status CheckpointStore::Apply(const std::vector<StoreWrite>& writes) {
     blob_bytes += w.is_delete ? 0 : w.blob.size();
   }
   span.set_args(writes.size(), blob_bytes);
+  return Commit(writes.data(), writes.size(), span);
+}
 
-  Status result;
-  size_t applied = 0;
-  bool wake = false;
-  if (options_.group_commit) {
-    // The whole batch is one group member: one shared append + sync covers
-    // it (and any concurrent writers that joined the same group).
-    result = GroupWrite(writes.data(), writes.size(), span);
-    if (result.ok()) applied = writes.size();
-  } else {
-    // Sequential fallback: one append + one sync per intent — exactly the
-    // bytes and syncs N separate Put/Delete calls would have issued.
-    MutexLock lk(&mu_);
-    if (!active_writer_.is_open()) {
-      return Status::FailedPrecondition("checkpoint store: not open");
-    }
-    for (const StoreWrite& w : writes) {
-      result = AppendRecordLocked(
-          w.is_delete ? kStoreTombstoneRecord : kStoreEntryRecord, w.key,
-          w.is_delete ? std::string_view() : w.blob, span);
-      if (!result.ok()) break;
-      ++applied;
-    }
-    wake = options_.compaction_trigger > 0 &&
-           SealedCountLocked() >= std::max(options_.compaction_trigger, 2);
-  }
+Status CheckpointStore::Commit(const StoreWrite* writes, size_t count,
+                               obs::Span& span) {
+  const Status result = GroupWrite(writes, count, span);
   RecordWriteHealth(result);
-  for (size_t i = 0; i < applied; ++i) {
-    if (writes[i].is_delete) {
-      deletes_->Increment();
-    } else {
-      puts_->Increment();
-    }
-  }
   if (!result.ok()) {
     span.set_detail(result.message());
     return result;
   }
-  put_duration_ns_->Observe(span.ElapsedNs());
-  if (wake) {
-    MutexLock lk(&mu_);
-    work_cv_.Signal();
-  }
-  if (options_.group_commit) MaybeSignalCompaction();
+  size_t deletes = 0;
+  for (size_t i = 0; i < count; ++i) deletes += writes[i].is_delete ? 1 : 0;
+  deletes_->Increment(deletes);
+  puts_->Increment(count - deletes);
+  if (deletes < count) put_duration_ns_->Observe(span.ElapsedNs());
+  MaybeSignalCompaction();
   return Status::OK();
 }
 

@@ -39,18 +39,26 @@
 ///       a fresh active segment rolled). Damage in any other live segment
 ///       is real corruption and fails Open.
 ///
+/// Writes: Put, Delete and Apply all enter one group-commit lane (the
+/// leveldb writer-queue idiom). Concurrent callers enqueue their intents;
+/// the queue-front writer becomes the *leader*, coalesces the queue into
+/// one log append + one sync, and acknowledges the whole group — so N
+/// concurrent acknowledged-durable writes cost ~1 sync instead of N. Every
+/// writer still returns only after its own records are durable per
+/// sync_mode, and a failed group sync surfaces to every member.
+///
 /// Durability (docs/storage.md has the full derivation): every byte goes
 /// through the file layer (src/common/file.h) and `CheckpointStoreOptions::
 /// sync_mode` picks the contract. Under kFull (default) / kData an acked
-/// Put/Delete is power-loss durable: each append is fsync/fdatasync'd, a
-/// created segment's directory entry is synced before its first record is
-/// acknowledged, the MANIFEST temp file is synced before the rename and the
-/// parent directory after it, and a consolidated compaction segment is
-/// fully synced (data + entry) before the MANIFEST naming it installs.
-/// Under kNone writes only reach the OS (fflush-grade): crash-of-process
-/// safe, not power-loss safe — the pre-fsync contract, kept as a knob
-/// because an fsync per Put is the price of the guarantee (bench_store
-/// measures it).
+/// Put/Delete/Apply is power-loss durable: each group's append is
+/// fsync/fdatasync'd before any member is acknowledged, a created segment's
+/// directory entry is synced before its first record is acknowledged, the
+/// MANIFEST temp file is synced before the rename and the parent directory
+/// after it, and a consolidated compaction segment is fully synced (data +
+/// entry) before the MANIFEST naming it installs. Under kNone writes only
+/// reach the OS (fflush-grade): crash-of-process safe, not power-loss safe
+/// — the pre-fsync contract, kept as a knob because a sync per group is the
+/// price of the guarantee (bench_store measures it).
 
 #ifndef LDPHH_STORE_CHECKPOINT_STORE_H_
 #define LDPHH_STORE_CHECKPOINT_STORE_H_
@@ -96,15 +104,6 @@ struct CheckpointStoreOptions {
   /// File layer to write through; null = FileSystem::Default() (POSIX).
   /// Tests inject a FaultInjectingFileSystem to simulate power loss.
   FileSystem* file_system = nullptr;
-  /// Group commit (the leveldb writer-queue idiom): concurrent Put/Delete
-  /// callers enqueue their intents; the queue-front writer becomes the
-  /// *leader*, coalesces the queue into one log append + one sync, and
-  /// acknowledges the whole group — so N concurrent acknowledged-durable
-  /// writes cost ~1 fsync instead of N. Every writer still returns only
-  /// after its own record is durable per sync_mode, and a failed group
-  /// sync surfaces to every member. Off (default), each write appends and
-  /// syncs by itself — the original single-writer discipline, bit for bit.
-  bool group_commit = false;
   /// A forming group stops absorbing queued writers past either bound (the
   /// member that crosses a bound still commits whole; writers left behind
   /// lead the next group).
@@ -135,14 +134,15 @@ struct CheckpointStoreStats {
   uint64_t manifest_sequence = 0;///< Install generation of the current
                                  ///< MANIFEST (what a replica tails).
   uint64_t group_commits = 0;    ///< Groups committed (≈ write-path syncs
-                                 ///< issued) since Open, group_commit on.
-  uint64_t group_commit_writes = 0;  ///< Write intents acknowledged through
-                                     ///< the group-commit lane.
+                                 ///< issued) since Open.
+  uint64_t group_commit_writes = 0;  ///< Write intents acknowledged since
+                                     ///< Open (every write rides the lane).
 };
 
 /// \brief The durable keyed blob store.
 ///
-/// Thread-safe: Put/Delete/Get/Keys/Compact may be called concurrently.
+/// Thread-safe: Put/Delete/Apply/Get/Keys/Compact may be called
+/// concurrently.
 /// Blobs are cached in memory (they are the epoch working set the windowed
 /// queries read); the segment files are the durable copy replayed at Open.
 class CheckpointStore {
@@ -182,8 +182,8 @@ class CheckpointStore {
   CheckpointStore(const CheckpointStore&) = delete;
   CheckpointStore& operator=(const CheckpointStore&) = delete;
 
-  /// Stores \p blob under \p key (replacing any previous value); flushed to
-  /// the OS before returning. May seal the active segment.
+  /// Stores \p blob under \p key (replacing any previous value); durable
+  /// per sync_mode before returning. May seal the active segment.
   Status Put(uint64_t key, std::string_view blob);
 
   /// Removes \p key (a durable tombstone; compaction reclaims the space).
@@ -191,12 +191,11 @@ class CheckpointStore {
   Status Delete(uint64_t key);
 
   /// Applies every intent in \p writes, in order, and returns only after
-  /// all of them are durable per sync_mode. With group_commit on, the
-  /// whole batch rides the group-commit lane as one member — one append +
-  /// one sync for the batch, possibly shared with concurrent writers (the
-  /// epoch layer commits an epoch blob and its clock record this way).
-  /// With group_commit off it degrades to sequential Put/Delete semantics:
-  /// one append + one sync per intent, bit-for-bit the single-writer path.
+  /// all of them are durable per sync_mode. The whole batch is one member
+  /// of the group-commit lane — one append + one sync for the batch,
+  /// possibly shared with concurrent writers (the epoch layer commits an
+  /// epoch blob and its clock record this way). Put and Delete are
+  /// one-intent batches.
   Status Apply(const std::vector<StoreWrite>& writes);
 
   /// Fetches the blob stored under \p key; kOutOfRange if absent.
@@ -254,9 +253,6 @@ class CheckpointStore {
       REQUIRES(mu_);
   /// Seals the active segment and opens a fresh one. Caller holds mu_.
   Status RollActiveLocked() REQUIRES(mu_);
-  Status AppendRecordLocked(CheckpointRecordType type, uint64_t key,
-                            std::string_view blob, obs::Span& span)
-      REQUIRES(mu_);
   /// One writer parked in the group-commit queue: its intents, their
   /// pre-computed on-disk size, and the condition it sleeps on until the
   /// group leader reports the outcome.
@@ -271,6 +267,10 @@ class CheckpointStore {
     bool done = false;
   };
 
+  /// The one write path behind Put, Delete and Apply: commits \p writes
+  /// through GroupWrite, then latches write health, counts the acked
+  /// intents and wakes the compactor if a roll met its trigger.
+  Status Commit(const StoreWrite* writes, size_t count, obs::Span& span);
   /// The group-commit lane: enqueues \p writes, then either waits for a
   /// leader to commit them (follower) or, on reaching the queue front,
   /// leads the commit itself. Returns the writer's durable outcome.
@@ -281,8 +281,7 @@ class CheckpointStore {
   /// applies the group in memory, and wakes every member.
   Status LeadGroupCommit(PendingWrite* self, obs::Span& span) REQUIRES(mu_);
   /// Wakes the background compactor if the sealed-segment trigger is met.
-  /// The group-commit paths call it after releasing mu_; the single-writer
-  /// paths fold the check into their existing critical section instead.
+  /// Commit calls it after the lane released mu_.
   void MaybeSignalCompaction();
 
   /// Latches \p status as the store's write health: an error makes
@@ -366,8 +365,8 @@ class CheckpointStore {
   std::shared_ptr<obs::SpanFamily> put_spans_;
   std::shared_ptr<obs::SpanFamily> delete_spans_;
 
-  /// Write-health latch: set by the first failing Put/Delete, cleared by
-  /// the next succeeding one. The atomic keeps the registered check to one
+  /// Write-health latch: set by the first failing write, cleared by the
+  /// next succeeding one. The atomic keeps the registered check to one
   /// relaxed load in the healthy steady state.
   std::atomic<bool> has_health_error_{false};
   mutable Mutex health_mu_;

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/fault_fs.h"
 #include "src/common/random.h"
 #include "src/common/serde.h"
 #include "src/obs/json_reader.h"
@@ -596,6 +597,39 @@ TEST_F(EpochManagerTest, SubmitWireWallClockRollKeepsFrameWhole) {
   auto window = std::move(window_or).value();
   auto want = DirectAggregate(config, reports, 0, 14);
   ExpectSameEstimates(*window, *want);
+  ASSERT_TRUE(mgr->Close().ok());
+}
+
+// An epoch close is one durable write: the epoch blob and its clock record
+// ride the store's group-commit lane as one member, so each CloseEpoch adds
+// exactly one file sync. Default store options; their 1 MB segment never
+// rolls here, so no roll's sync can hide in the count.
+TEST_F(EpochManagerTest, CloseEpochPaysOneFileSync) {
+  const ProtocolConfig config = OracleConfig("hadamard_response", 64, 1.0);
+  FaultInjectingFileSystem fault_fs;
+  CheckpointStoreOptions store_opts;
+  store_opts.file_system = &fault_fs;
+  auto store_or = CheckpointStore::Open("/faultfs/epochs", store_opts);
+  ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
+  auto store = std::move(store_or).value();
+
+  EpochManagerOptions opts;
+  opts.reports_per_epoch = 1 << 20;  // Only the explicit closes below.
+  opts.aggregator.num_shards = 2;
+  auto mgr = OpenManager(config, store.get(), opts);
+  ASSERT_TRUE(mgr->Start().ok());
+  const auto reports = EncodeReports(config, 3 * 400, 5);
+  for (uint64_t epoch = 0; epoch < 3; ++epoch) {
+    for (size_t i = epoch * 400; i < (epoch + 1) * 400; ++i) {
+      ASSERT_TRUE(mgr->Submit(reports[i]).ok());
+    }
+    const uint64_t before = fault_fs.file_sync_count();
+    ASSERT_TRUE(mgr->CloseEpoch().ok());
+    EXPECT_EQ(fault_fs.file_sync_count() - before, 1u) << "epoch " << epoch;
+  }
+  EXPECT_EQ(store->Stats().live_segments, 1u);  // Nothing rolled.
+  EXPECT_EQ(store->Stats().group_commits, 3u);
+  EXPECT_EQ(mgr->PersistedEpochs(), (std::vector<uint64_t>{0, 1, 2}));
   ASSERT_TRUE(mgr->Close().ok());
 }
 

@@ -1,10 +1,10 @@
 // The group-commit lane of CheckpointStore (the leveldb writer-queue
-// idiom): deterministic sync-coalescing contract (one fsync for a whole
-// batch), failed-group semantics (one bad sync fails every member, trips
-// the write-health latch so /healthz goes 503, heals on the next good
-// group), crash-abort semantics, single-writer equivalence with the lane
-// off, and a multi-writer hammer the TSan CI job runs against the
-// leader/follower handoff.
+// idiom), the store's only write path: deterministic sync-coalescing
+// contract (one fsync for a whole batch), failed-group semantics (one bad
+// sync fails every member, trips the write-health latch so /healthz goes
+// 503, heals on the next good group), crash-abort semantics, single-writer
+// equivalence with a reference model, and a multi-writer hammer the TSan
+// CI job runs against the leader/follower handoff.
 
 #include <gtest/gtest.h>
 
@@ -36,14 +36,12 @@ std::string Blob(uint64_t key, size_t size = 48) {
 }
 
 CheckpointStoreOptions GroupOptions(FaultInjectingFileSystem* fs,
-                                    bool group_commit = true,
                                     size_t segment_max_bytes = 1 << 20) {
   CheckpointStoreOptions o;
   o.segment_max_bytes = segment_max_bytes;
   o.background_compaction = false;
   o.sync_mode = SyncMode::kFull;
   o.file_system = fs;
-  o.group_commit = group_commit;
   return o;
 }
 
@@ -88,9 +86,9 @@ int StatusCodeOf(const std::string& response) {
 }
 
 // The heart of the perf claim, pinned deterministically: a multi-intent
-// batch through the lane costs exactly ONE file sync under kFull, where the
-// sequential fallback pays one per intent — and both land the same state.
-TEST(GroupCommit, BatchCostsOneSyncWhereSequentialPaysPerIntent) {
+// batch through the lane costs exactly ONE file sync under kFull, not one
+// per intent.
+TEST(GroupCommit, BatchCostsOneSync) {
   std::vector<StoreWrite> writes(5);
   std::vector<std::string> blobs;
   blobs.reserve(writes.size());
@@ -109,19 +107,6 @@ TEST(GroupCommit, BatchCostsOneSyncWhereSequentialPaysPerIntent) {
     const CheckpointStoreStats stats = store->Stats();
     EXPECT_EQ(stats.group_commits, 1u);
     EXPECT_EQ(stats.group_commit_writes, writes.size());
-    EXPECT_EQ(stats.entries, writes.size());
-  }
-
-  FaultInjectingFileSystem sequential_fs;
-  {
-    auto store = MustOpen("/faultfs/sequential",
-                          GroupOptions(&sequential_fs, /*group_commit=*/false));
-    const uint64_t before = sequential_fs.file_sync_count();
-    ASSERT_TRUE(store->Apply(writes).ok());
-    EXPECT_EQ(sequential_fs.file_sync_count() - before, writes.size());
-    const CheckpointStoreStats stats = store->Stats();
-    EXPECT_EQ(stats.group_commits, 0u);  // The lane never ran.
-    EXPECT_EQ(stats.group_commit_writes, 0u);
     EXPECT_EQ(stats.entries, writes.size());
   }
 }
@@ -148,58 +133,40 @@ TEST(GroupCommit, OversizedBatchCommitsWhole) {
   EXPECT_EQ(store->Keys().size(), writes.size());
 }
 
-// With a single writer, the lane-on store must land on exactly the state
-// the lane-off store lands on for the same script (groups of one, same
-// records, same recovered contents after a power loss).
-TEST(GroupCommit, SingleWriterMatchesLaneOffStateExactly) {
-  const auto script = [](CheckpointStore* store) {
+// With a single writer every group is a group of one: the store must land
+// on exactly the state of a reference map driven by the same script, across
+// segment rolls, tombstones and a power loss.
+TEST(GroupCommit, SingleWriterMatchesReferenceModelExactly) {
+  std::map<uint64_t, std::string> model;
+  FaultInjectingFileSystem fs;
+  {
+    auto store = MustOpen(kDir, GroupOptions(&fs, size_t{1} << 11));
     for (uint64_t k = 0; k < 60; ++k) {
       ASSERT_TRUE(store->Put(k, Blob(k)).ok());
+      model[k] = Blob(k);
     }
     for (uint64_t k = 0; k < 60; k += 3) {
       ASSERT_TRUE(store->Delete(k).ok());
+      model.erase(k);
     }
     for (uint64_t k = 1; k < 60; k += 6) {
       ASSERT_TRUE(store->Put(k, Blob(k + 77)).ok());
+      model[k] = Blob(k + 77);
     }
-  };
-  const auto state_of = [](CheckpointStore* store) {
-    std::map<uint64_t, std::string> state;
-    for (uint64_t key : store->Keys()) {
-      std::string blob;
-      EXPECT_TRUE(store->Get(key, &blob).ok());
-      state[key] = blob;
-    }
-    return state;
-  };
-
-  std::map<uint64_t, std::string> on_state, off_state;
-  {
-    FaultInjectingFileSystem fs;
-    {
-      auto store =
-          MustOpen("/faultfs/on", GroupOptions(&fs, true, size_t{1} << 11));
-      script(store.get());
-    }
-    fs.SimulatePowerLoss();
-    auto recovered =
-        MustOpen("/faultfs/on", GroupOptions(&fs, true, size_t{1} << 11));
-    on_state = state_of(recovered.get());
+    const CheckpointStoreStats stats = store->Stats();
+    EXPECT_EQ(stats.group_commits, stats.group_commit_writes);
+    EXPECT_GT(stats.live_segments, 1u);  // The script crossed a roll.
   }
-  {
-    FaultInjectingFileSystem fs;
-    {
-      auto store =
-          MustOpen("/faultfs/off", GroupOptions(&fs, false, size_t{1} << 11));
-      script(store.get());
-    }
-    fs.SimulatePowerLoss();
-    auto recovered =
-        MustOpen("/faultfs/off", GroupOptions(&fs, false, size_t{1} << 11));
-    off_state = state_of(recovered.get());
+  fs.SimulatePowerLoss();
+  auto recovered = MustOpen(kDir, GroupOptions(&fs, size_t{1} << 11));
+  std::map<uint64_t, std::string> state;
+  for (uint64_t key : recovered->Keys()) {
+    std::string blob;
+    EXPECT_TRUE(recovered->Get(key, &blob).ok());
+    state[key] = blob;
   }
-  EXPECT_EQ(on_state, off_state);
-  EXPECT_FALSE(on_state.empty());
+  EXPECT_EQ(state, model);
+  EXPECT_FALSE(state.empty());
 }
 
 // One failed group sync surfaces an error Status to EVERY writer parked in
@@ -314,7 +281,7 @@ TEST(GroupCommit, HammerNothingLostAndEveryIntentCounted) {
   constexpr uint64_t kRange = 1000;
 
   FaultInjectingFileSystem fs;
-  CheckpointStoreOptions o = GroupOptions(&fs, true, size_t{1} << 12);
+  CheckpointStoreOptions o = GroupOptions(&fs, size_t{1} << 12);
   o.group_max_records = 8;
   auto store = MustOpen(kDir, o);
 

@@ -13,7 +13,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -235,9 +234,7 @@ TEST(ProtocolRegistry, ListsAllBuiltinsWithDistinctWireIds) {
 // ---------------------------------------------------- end-to-end acceptance --
 
 // Sharded serve == direct aggregation, for every registered protocol, via
-// the stamped wire format — and the un-finalized merged aggregator
-// checkpoints and restores through a fresh config-built service with no
-// factory in sight.
+// the stamped wire format.
 TEST_P(RegistryProtocolTest, ShardedServeMatchesDirectBitForBit) {
   const ProtocolCase& c = GetParam();
   const ProtocolConfig config = MustParse(c.text);
@@ -261,39 +258,14 @@ TEST_P(RegistryProtocolTest, ShardedServeMatchesDirectBitForBit) {
         agg->SubmitWire(EncodeReportBatch(slice, agg->wire_id())).ok());
   }
 
-  // Checkpoint mid-flight, then restore into a brand-new service built from
-  // nothing but the config.
-  const std::string path = testing::TempDir() + "/ldphh_registry_" +
-                           config.protocol() + "_" +
-                           std::to_string(::getpid()) + ".ckpt";
-  std::remove(path.c_str());
-  {
-    CheckpointWriter log;
-    ASSERT_TRUE(log.Open(path).ok());
-    ASSERT_TRUE(agg->WriteCheckpoint(log).ok());
-  }
   auto merged_or = agg->Finish();
   ASSERT_TRUE(merged_or.ok()) << merged_or.status().ToString();
   auto merged = std::move(merged_or).value();
   EXPECT_EQ(agg->Stats().rejected, 0u);
 
-  auto restored_or = ShardedAggregator::Create(config, opts);
-  ASSERT_TRUE(restored_or.ok());
-  auto restored = std::move(restored_or).value();
-  {
-    CheckpointReader log;
-    ASSERT_TRUE(log.Open(path).ok());
-    ASSERT_TRUE(restored->RestoreCheckpoint(log).ok());
-  }
-  ASSERT_TRUE(restored->Start().ok());
-  auto restored_merged_or = restored->Finish();
-  ASSERT_TRUE(restored_merged_or.ok());
-  auto restored_merged = std::move(restored_merged_or).value();
-  std::remove(path.c_str());
-
-  // All three agree, entry for entry, bit for bit.
+  // Sharded and direct agree, entry for entry, bit for bit. (The durable
+  // serialize -> restore leg is EpochWindowMatchesDirectBitForBit below.)
   ExpectSameEstimates(*merged, *direct);
-  ExpectSameEstimates(*restored_merged, *direct);
 
   if (c.expect_recovery) {
     auto top = direct->EstimateTopK(1);

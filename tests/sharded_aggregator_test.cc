@@ -1,21 +1,19 @@
 // Tests for src/server/sharded_aggregator: merge-equivalence of sharded
-// ingestion against the single-threaded baseline, durable self-describing
-// checkpoints, and the mergeable-state layer of every frequency oracle.
+// ingestion against the single-threaded baseline, wire-batch rejection, and
+// the mergeable-state layer of every frequency oracle. (Durable aggregator
+// state is the epoch blob, pinned by epoch_manager_test, power_loss_test and
+// protocol_registry_test.)
 
 #include "src/server/sharded_aggregator.h"
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "src/common/fault_fs.h"
 #include "src/freq/count_mean_sketch.h"
 #include "src/freq/direct_encoding.h"
 #include "src/freq/hadamard_response.h"
@@ -36,22 +34,10 @@ using testutil::MustCreate;
 using testutil::OlhConfig;
 using testutil::OracleConfig;
 
-std::string TempLogPath(const std::string& name) {
-  return testing::TempDir() + "/ldphh_" + name + "_" +
-         std::to_string(::getpid()) + ".ckpt";
-}
-
 std::vector<WireReport> EncodeReports(const ProtocolConfig& config, uint64_t n,
                                       uint64_t seed) {
   return EncodeSkewedReports(config, n, seed,
                              config.GetUintOr("domain", 0));
-}
-
-// reports[lo, hi) as a batch of its own.
-std::vector<WireReport> Slice(const std::vector<WireReport>& reports,
-                              size_t lo, size_t hi) {
-  return std::vector<WireReport>(reports.begin() + static_cast<ptrdiff_t>(lo),
-                                 reports.begin() + static_cast<ptrdiff_t>(hi));
 }
 
 std::unique_ptr<ShardedAggregator> MustCreateSharded(
@@ -116,173 +102,6 @@ TEST(ShardedAggregator, MergeEquivalenceUnaryEncoding) {
 
 TEST(ShardedAggregator, MergeEquivalenceOlh) {
   CheckMergeEquivalence(OlhConfig(16, 1.0, /*seed=*/77), kNumReports);
-}
-
-TEST(ShardedAggregator, CheckpointRestoreResumesMidIngest) {
-  const ProtocolConfig config = OracleConfig("hadamard_response", 128, 1.5);
-  const uint64_t n = 100000;
-  const auto reports = EncodeReports(config, n, 99);
-
-  auto baseline = DirectAggregate(config, reports, 0, reports.size());
-
-  const std::string path = TempLogPath("resume");
-  std::remove(path.c_str());
-  ShardedAggregatorOptions opts;
-  opts.num_shards = 8;
-
-  // Phase 1: ingest the first 60%, checkpoint, then "crash" (the oracle
-  // state is simply dropped on the floor).
-  const size_t cut = 60000;
-  {
-    auto agg = MustCreateSharded(config, opts);
-    ASSERT_TRUE(agg->Start().ok());
-    ASSERT_TRUE(agg->SubmitBatch(Slice(reports, 0, cut)).ok());
-    CheckpointWriter log;
-    ASSERT_TRUE(log.Open(path).ok());
-    ASSERT_TRUE(agg->WriteCheckpoint(log).ok());
-  }
-
-  // Phase 2: recover and replay only the post-checkpoint reports. The log
-  // itself names the protocol; the aggregator only has to match it.
-  {
-    auto agg = MustCreateSharded(config, opts);
-    CheckpointReader log;
-    ASSERT_TRUE(log.Open(path).ok());
-    ASSERT_TRUE(agg->RestoreCheckpoint(log).ok());
-    ASSERT_TRUE(agg->Start().ok());
-    ASSERT_TRUE(agg->SubmitBatch(Slice(reports, cut, n)).ok());
-    auto merged_or = agg->Finish();
-    ASSERT_TRUE(merged_or.ok()) << merged_or.status().ToString();
-    auto merged = std::move(merged_or).value();
-
-    const IngestStats stats = agg->Stats();
-    EXPECT_EQ(stats.restored, cut);
-    EXPECT_EQ(stats.submitted, n - cut);
-
-    ExpectSameEstimates(*merged, *baseline);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ShardedAggregator, CheckpointDuringConcurrentIngestLosesNothing) {
-  // The API allows producers to keep submitting while WriteCheckpoint runs;
-  // the snapshot pause must neither lose nor double-count reports.
-  const ProtocolConfig config = OracleConfig("k_rr", 32, 1.0);
-  const uint64_t n = 50000;
-  const auto reports = EncodeReports(config, n, 33);
-
-  auto baseline = DirectAggregate(config, reports, 0, reports.size());
-
-  const std::string path = TempLogPath("concurrent");
-  std::remove(path.c_str());
-  ShardedAggregatorOptions opts;
-  opts.num_shards = 4;
-  opts.queue_capacity = 256;
-  auto agg = MustCreateSharded(config, opts);
-  ASSERT_TRUE(agg->Start().ok());
-
-  CheckpointWriter log;
-  ASSERT_TRUE(log.Open(path).ok());
-  // Small batches, so the checkpoints land between (and during) them.
-  std::thread producer([&] {
-    for (size_t lo = 0; lo < reports.size(); lo += 64) {
-      const size_t hi = std::min(lo + 64, reports.size());
-      ASSERT_TRUE(agg->SubmitBatch(Slice(reports, lo, hi)).ok());
-    }
-  });
-  for (int c = 0; c < 5; ++c) ASSERT_TRUE(agg->WriteCheckpoint(log).ok());
-  producer.join();
-
-  auto merged_or = agg->Finish();
-  ASSERT_TRUE(merged_or.ok()) << merged_or.status().ToString();
-  auto merged = std::move(merged_or).value();
-  ExpectSameEstimates(*merged, *baseline);
-  // Every checkpoint in the log must itself be restorable.
-  auto fresh = MustCreateSharded(config, opts);
-  CheckpointReader reader;
-  ASSERT_TRUE(reader.Open(path).ok());
-  ASSERT_TRUE(fresh->RestoreCheckpoint(reader).ok());
-  EXPECT_LE(fresh->Stats().restored, n);
-  std::remove(path.c_str());
-}
-
-TEST(ShardedAggregator, RestorePicksLastCompleteCheckpoint) {
-  const ProtocolConfig config = OracleConfig("k_rr", 16, 1.0);
-  const auto reports = EncodeReports(config, 2000, 5);
-  const std::string path = TempLogPath("last");
-  std::remove(path.c_str());
-  ShardedAggregatorOptions opts;
-  opts.num_shards = 4;
-  {
-    auto agg = MustCreateSharded(config, opts);
-    ASSERT_TRUE(agg->Start().ok());
-    CheckpointWriter log;
-    ASSERT_TRUE(log.Open(path).ok());
-    ASSERT_TRUE(agg->SubmitBatch(Slice(reports, 0, 1000)).ok());
-    ASSERT_TRUE(agg->WriteCheckpoint(log).ok());
-    ASSERT_TRUE(agg->SubmitBatch(Slice(reports, 1000, 1500)).ok());
-    ASSERT_TRUE(agg->WriteCheckpoint(log).ok());  // Supersedes the first.
-  }
-  auto agg = MustCreateSharded(config, opts);
-  CheckpointReader log;
-  ASSERT_TRUE(log.Open(path).ok());
-  ASSERT_TRUE(agg->RestoreCheckpoint(log).ok());
-  EXPECT_EQ(agg->Stats().restored, 1500u);
-  std::remove(path.c_str());
-}
-
-TEST(ShardedAggregator, RestoreRejectsShardCountMismatch) {
-  const ProtocolConfig config = OracleConfig("k_rr", 16, 1.0);
-  const std::string path = TempLogPath("mismatch");
-  std::remove(path.c_str());
-  {
-    ShardedAggregatorOptions opts;
-    opts.num_shards = 4;
-    auto agg = MustCreateSharded(config, opts);
-    ASSERT_TRUE(agg->Start().ok());
-    CheckpointWriter log;
-    ASSERT_TRUE(log.Open(path).ok());
-    ASSERT_TRUE(agg->WriteCheckpoint(log).ok());
-  }
-  ShardedAggregatorOptions opts;
-  opts.num_shards = 2;
-  auto agg = MustCreateSharded(config, opts);
-  CheckpointReader log;
-  ASSERT_TRUE(log.Open(path).ok());
-  const Status st = agg->RestoreCheckpoint(log);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.message().find("shard count mismatch"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-// The satellite fix: a checkpoint taken under a different protocol config
-// (here: different epsilon, same everything else) must be refused with a
-// descriptive error, not silently restored into mismatched oracles.
-TEST(ShardedAggregator, RestoreRejectsConfigMismatch) {
-  const ProtocolConfig config = OracleConfig("hadamard_response", 32, 1.0);
-  const std::string path = TempLogPath("cfg_mismatch");
-  std::remove(path.c_str());
-  ShardedAggregatorOptions opts;
-  opts.num_shards = 2;
-  {
-    auto agg = MustCreateSharded(config, opts);
-    ASSERT_TRUE(agg->Start().ok());
-    ASSERT_TRUE(agg->SubmitBatch(EncodeReports(config, 500, 8)).ok());
-    CheckpointWriter log;
-    ASSERT_TRUE(log.Open(path).ok());
-    ASSERT_TRUE(agg->WriteCheckpoint(log).ok());
-  }
-  // Same oracle type and domain, different epsilon: without the embedded
-  // config this restore would silently produce garbage estimates.
-  const ProtocolConfig other = OracleConfig("hadamard_response", 32, 2.0);
-  auto agg = MustCreateSharded(other, opts);
-  CheckpointReader log;
-  ASSERT_TRUE(log.Open(path).ok());
-  const Status st = agg->RestoreCheckpoint(log);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.message().find("config mismatch"), std::string::npos)
-      << st.ToString();
-  std::remove(path.c_str());
 }
 
 TEST(ShardedAggregator, SubmitWireRejectsCorruptBatchWhole) {
@@ -457,32 +276,6 @@ TEST(MergeableState, CountMeanSketchMergeAndSnapshotMatchSequential) {
   for (uint64_t v = 0; v < 500; v += 17) {
     EXPECT_EQ(left.Estimate(DomainItem(v)), seq.Estimate(DomainItem(v)));
   }
-}
-
-// Pins that WriteCheckpoint refuses to acknowledge a checkpoint whose final
-// Sync failed (the [[nodiscard]] sweep hardened this path; a swallowed sync
-// error here would ack a checkpoint power loss can erase) — and that the
-// aggregator still checkpoints fine once the fault clears.
-TEST(ShardedAggregatorCheckpoint, WriteCheckpointSurfacesSyncFailure) {
-  const ProtocolConfig config = OlhConfig(/*domain=*/64, /*eps=*/1.0,
-                                          /*seed=*/7);
-  ShardedAggregatorOptions opts;
-  opts.num_shards = 2;
-  auto agg = MustCreateSharded(config, opts);
-  ASSERT_TRUE(agg->Start().ok());
-  ASSERT_TRUE(agg->SubmitBatch(EncodeReports(config, 256, 11)).ok());
-
-  FaultInjectingFileSystem fs;
-  CheckpointWriter log;
-  ASSERT_TRUE(log.Open("/fault/agg.ckpt", &fs).ok());
-  fs.set_fail_file_syncs(true);
-  EXPECT_FALSE(agg->WriteCheckpoint(log).ok());
-
-  // The fault clears: ingestion was never wedged and the checkpoint lands.
-  fs.set_fail_file_syncs(false);
-  ASSERT_TRUE(agg->SubmitBatch(EncodeReports(config, 64, 12)).ok());
-  EXPECT_TRUE(agg->WriteCheckpoint(log).ok());
-  ASSERT_TRUE(agg->Finish().ok());
 }
 
 }  // namespace

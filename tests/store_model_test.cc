@@ -21,7 +21,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "src/common/fault_fs.h"
@@ -198,14 +197,12 @@ INSTANTIATE_TEST_SUITE_P(PosixAndFaultInjected, StoreModelTest,
 // Seeded multi-threaded Put/Delete/Apply walks: each thread owns a disjoint
 // key range, so its private reference model stays exact with no cross-thread
 // coordination, while the main thread compacts and scans the store under the
-// writers' feet. Runs with the group-commit lane on and off, on POSIX and on
-// the fault FS; after the walk — and again after a restart, with a simulated
-// power loss on the fault FS — the store must equal the union of the thread
-// models. (This is also the suite the TSan CI job runs against the
-// leader/follower handoff.)
+// writers' feet. Runs on POSIX and on the fault FS; after the walk — and
+// again after a restart, with a simulated power loss on the fault FS — the
+// store must equal the union of the thread models. (This is also the suite
+// the TSan CI job runs against the group-commit leader/follower handoff.)
 void RunConcurrentWalk(const std::string& dir,
-                       FaultInjectingFileSystem* fault_fs, bool group_commit,
-                       uint64_t seed) {
+                       FaultInjectingFileSystem* fault_fs, uint64_t seed) {
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 250;
   constexpr uint64_t kRangePerThread = 64;
@@ -216,7 +213,6 @@ void RunConcurrentWalk(const std::string& dir,
   o.background_compaction = true;
   o.sync_mode = fault_fs != nullptr ? SyncMode::kFull : SyncMode::kNone;
   o.file_system = fault_fs;
-  o.group_commit = group_commit;
   o.group_max_records = 8;  // Small: the bound-crossing path runs too.
   auto store_or = CheckpointStore::Open(dir, o);
   ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
@@ -291,11 +287,9 @@ void RunConcurrentWalk(const std::string& dir,
     }
   };
   verify(store.get(), "after walk");
-  if (group_commit) {
-    const CheckpointStoreStats stats = store->Stats();
-    EXPECT_GT(stats.group_commit_writes, 0u);
-    EXPECT_GE(stats.group_commit_writes, stats.group_commits);
-  }
+  const CheckpointStoreStats stats = store->Stats();
+  EXPECT_GT(stats.group_commit_writes, 0u);
+  EXPECT_GE(stats.group_commit_writes, stats.group_commits);
 
   // Restart (with the lights going out on the fault FS): recovery must land
   // on exactly the acknowledged union.
@@ -306,25 +300,21 @@ void RunConcurrentWalk(const std::string& dir,
   verify(store_or.value().get(), "after restart");
 }
 
-using ConcurrentParam = std::tuple<bool, bool>;  // (fault FS, group commit)
-
-class ConcurrentStoreModelTest
-    : public testing::TestWithParam<ConcurrentParam> {};
+class ConcurrentStoreModelTest : public testing::TestWithParam<bool> {};
 
 TEST_P(ConcurrentStoreModelTest, ConcurrentWalkMatchesReferenceModel) {
-  const auto [fault, group_commit] = GetParam();
+  const bool fault = GetParam();
   for (const uint64_t seed : {uint64_t{11}, uint64_t{0xc0ffee}}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     if (fault) {
       FaultInjectingFileSystem ffs;
-      RunConcurrentWalk("/faultfs/concurrent", &ffs, group_commit, seed);
+      RunConcurrentWalk("/faultfs/concurrent", &ffs, seed);
     } else {
       const std::string dir = testing::TempDir() + "/ldphh_concurrent_" +
                               std::to_string(seed) + "_" +
-                              (group_commit ? "g1" : "g0") + "_" +
                               std::to_string(::getpid());
       fs::remove_all(dir);
-      RunConcurrentWalk(dir, nullptr, group_commit, seed);
+      RunConcurrentWalk(dir, nullptr, seed);
       fs::remove_all(dir);
     }
     if (testing::Test::HasFatalFailure()) return;
@@ -332,13 +322,9 @@ TEST_P(ConcurrentStoreModelTest, ConcurrentWalkMatchesReferenceModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    BackendsAndLanes, ConcurrentStoreModelTest,
-    testing::Combine(testing::Values(false, true),
-                     testing::Values(false, true)),
-    [](const testing::TestParamInfo<ConcurrentParam>& param_info) {
-      return std::string(std::get<0>(param_info.param) ? "FaultInjected"
-                                                       : "PosixTempDir") +
-             (std::get<1>(param_info.param) ? "GroupCommit" : "SingleWriter");
+    Backends, ConcurrentStoreModelTest, testing::Values(false, true),
+    [](const testing::TestParamInfo<bool>& param_info) {
+      return std::string(param_info.param ? "FaultInjected" : "PosixTempDir");
     });
 
 }  // namespace

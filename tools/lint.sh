@@ -87,15 +87,13 @@ done
 # CheckpointWriter append bypasses the store's write lane — group commit,
 # sequence numbering, the write-health latch, and the put metrics/spans all
 # live there — so serving code must not hold one. Allowed: the definition
-# (src/server/checkpoint_log.*), the store itself (src/store/*), and
-# sharded_aggregator, whose WriteCheckpoint(CheckpointWriter&) serializes
-# shard state into a log the *caller* owns. Tests/benches stay exempt:
-# they exercise the raw writer by design (fault injection, format pinning).
+# (src/server/checkpoint_log.*) and the store itself (src/store/*).
+# Tests/benches stay exempt: they exercise the raw writer by design (fault
+# injection, format pinning).
 for f in $src_files; do
   case "$f" in
     src/server/checkpoint_log.*) continue ;;
     src/store/*) continue ;;
-    src/server/sharded_aggregator.*) continue ;;
   esac
   hits=$(strip_comments "$f" | grep -nE '(^|[^_[:alnum:]])CheckpointWriter([^_[:alnum:]]|$)')
   if [ -n "$hits" ]; then
@@ -128,6 +126,23 @@ for f in $src_files; do
     fail "$f: thread spawned under src/protocols/; shard through ShardedAggregator instead" "$hits"
   fi
 done
+
+# Rule 8: exported metric names and docs/observability.md agree both ways.
+# Every "ldphh_*" string literal under src/ names a metric family and must
+# have a row in the doc; every ldphh_* name the doc lists must still be such
+# a literal, so a deleted instrument cannot leave its row behind.
+src_metrics=$(grep -ohE '"ldphh_[A-Za-z0-9_]+' $src_files | tr -d '"' | sort -u)
+doc_metrics=$(grep -oE 'ldphh_[A-Za-z0-9_]+' docs/observability.md | sort -u)
+undocumented=$(comm -23 <(printf '%s\n' "$src_metrics") \
+                        <(printf '%s\n' "$doc_metrics") | grep -v '^$')
+if [ -n "$undocumented" ]; then
+  fail "metric names exported from src/ but missing from docs/observability.md" "$undocumented"
+fi
+stale=$(comm -13 <(printf '%s\n' "$src_metrics") \
+                 <(printf '%s\n' "$doc_metrics") | grep -v '^$')
+if [ -n "$stale" ]; then
+  fail "docs/observability.md lists metric names no longer exported from src/" "$stale"
+fi
 
 # clang-tidy over the exported compile commands (the .clang-tidy config at
 # the repo root curates the checks).
