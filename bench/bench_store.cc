@@ -67,7 +67,8 @@ CheckpointStoreOptions BenchOptions(SyncMode sync_mode = SyncMode::kNone) {
 // Checkpoint-write throughput per SyncMode for one writer (so every group
 // is one Put): none (flush-to-OS, the pre-fsync contract), data (fdatasync
 // per Put), full (fsync per Put). The none→full gap is the price of
-// power-loss durability.
+// power-loss durability. Timed in wall-clock time: a Put's fsync wait is
+// off-CPU, so per-CPU-second rates would leave out exactly that price.
 void BM_StorePut(benchmark::State& state) {
   const size_t blob_size = static_cast<size_t>(state.range(0));
   const SyncMode sync_mode = static_cast<SyncMode>(state.range(1));
@@ -96,6 +97,7 @@ void BM_StorePut(benchmark::State& state) {
 BENCHMARK(BM_StorePut)
     ->Args({1 << 10, 0})->Args({1 << 10, 1})->Args({1 << 10, 2})
     ->Args({1 << 14, 0})->Args({1 << 14, 1})->Args({1 << 14, 2})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Concurrent acknowledged-durable writers against one store, kFull @1 KB —

@@ -66,8 +66,7 @@ int main() {
   }
 
   CheckpointStoreOptions store_opts;
-  store_opts.segment_max_bytes = 8 << 10;  // Small segments: compaction runs.
-  store_opts.compaction_trigger = 3;
+  store_opts.segment_max_bytes = 8 << 10;  // Small segments: many of them.
   EpochManagerOptions epoch_opts;
   epoch_opts.reports_per_epoch = kEpochSize;
   epoch_opts.aggregator.num_shards = 4;

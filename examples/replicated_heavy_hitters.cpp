@@ -16,7 +16,8 @@
 // while the main thread watches the replica's tail catch epoch after epoch
 // and answers windowed queries mid-stream. At the end, every window the
 // replica serves is checked bit-for-bit against the primary's own answer
-// and against a crash-free single-threaded baseline.
+// and against a crash-free single-threaded baseline; then retention drops
+// the old regime and the store's compactor reclaims the dead epochs.
 
 #include <atomic>
 #include <chrono>
@@ -118,8 +119,7 @@ int main(int argc, char** argv) {
 
   // --- primary: the single writer -----------------------------------------
   CheckpointStoreOptions store_opts;
-  store_opts.segment_max_bytes = 16 << 10;  // Small segments: compaction runs.
-  store_opts.compaction_trigger = 4;
+  store_opts.segment_max_bytes = 16 << 10;  // Small segments: many of them.
   store_opts.sync_mode = SyncMode::kNone;   // Demo favors throughput.
   EpochManagerOptions epoch_opts;
   epoch_opts.reports_per_epoch = kEpochSize;
@@ -240,6 +240,22 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(w.last), w.label,
                 EstimateOf(got_entries, 42), EstimateOf(got_entries, 311));
   }
+
+  // --- retention: keep the newest epochs, let compaction reclaim the rest --
+  // Epoch blobs are written once, so only retention makes garbage: the
+  // pruned blobs and their tombstones push the sealed segments past the
+  // compactor's half-dead trigger.
+  if (!primary->PruneEpochsBefore(kEpochs - kEpochs / 4).ok()) return 1;
+  if (!store->WaitForCompaction().ok()) return 1;
+  const CheckpointStoreStats store_stats = store->Stats();
+  std::printf(
+      "retention: kept epochs [%llu, %llu]; %llu compactions, %llu of %llu "
+      "sealed bytes dead\n",
+      static_cast<unsigned long long>(kEpochs - kEpochs / 4),
+      static_cast<unsigned long long>(kEpochs - 1),
+      static_cast<unsigned long long>(store_stats.compactions),
+      static_cast<unsigned long long>(store_stats.dead_bytes),
+      static_cast<unsigned long long>(store_stats.sealed_bytes));
 
   const ReplicaStoreStats stats = replica->Stats();
   std::printf(

@@ -129,6 +129,7 @@ Status EpochManager::CheckIngesting() const {
 
 Status EpochManager::Submit(const WireReport& report) {
   LDPHH_RETURN_IF_ERROR(CheckIngesting());
+  LDPHH_RETURN_IF_ERROR(RetrySealedEpoch());
   return Ingest({report});
 }
 
@@ -137,8 +138,7 @@ Status EpochManager::Ingest(const std::vector<WireReport>& reports) {
   size_t offset = 0;
   while (offset < reports.size()) {
     // The open epoch has room for at least one report: it closes the moment
-    // it fills. (After a failed close it has none; the slice is then empty
-    // and the close below is retried.)
+    // it fills, and a close that failed is retried before any ingest.
     const size_t take = static_cast<size_t>(
         std::min<uint64_t>(options_.reports_per_epoch - reports_in_epoch_,
                            reports.size() - offset));
@@ -164,6 +164,10 @@ StatusOr<bool> EpochManager::PollClock() {
     return Status::FailedPrecondition(
         "EpochManager: PollClock outside Start()..Close()");
   }
+  if (!sealed_blob_.empty()) {
+    LDPHH_RETURN_IF_ERROR(RetrySealedEpoch());
+    return true;
+  }
   if (!EpochTimeUp()) return false;
   LDPHH_RETURN_IF_ERROR(CloseEpoch());
   return true;
@@ -171,6 +175,7 @@ StatusOr<bool> EpochManager::PollClock() {
 
 Status EpochManager::SubmitWire(std::string_view batch) {
   LDPHH_RETURN_IF_ERROR(CheckIngesting());
+  LDPHH_RETURN_IF_ERROR(RetrySealedEpoch());
   obs::Span span(submit_wire_spans_.get());
   span.set_args(batch.size());
   std::vector<WireReport> reports;
@@ -190,6 +195,7 @@ Status EpochManager::CloseEpoch() {
     return Status::FailedPrecondition(
         "EpochManager: CloseEpoch outside Start()..Close()");
   }
+  if (!sealed_blob_.empty()) return RetrySealedEpoch();
   obs::Span span(close_spans_.get());
   const uint64_t count = reports_in_epoch_;
   span.set_args(current_epoch_, count);
@@ -211,6 +217,11 @@ Status EpochManager::CloseEpoch() {
     config_.AppendTo(&blob);
     LDPHH_RETURN_IF_ERROR(merged->SerializeState(&blob));
   }
+  sealed_blob_ = std::move(blob);
+  return PersistSealedEpoch(span);
+}
+
+Status EpochManager::PersistSealedEpoch(obs::Span& span) {
   {
     // The epoch blob and the clock record commit as one group-commit
     // member: one append + one sync for the pair (possibly shared with
@@ -220,14 +231,16 @@ Status EpochManager::CloseEpoch() {
     PutU64(&clock_blob, current_epoch_ + 1);
     std::vector<StoreWrite> writes(2);
     writes[0].key = current_epoch_;
-    writes[0].blob = blob;
+    writes[0].blob = sealed_blob_;
     writes[1].key = kEpochClockKey;
     writes[1].blob = clock_blob;
     LDPHH_RETURN_IF_ERROR(store_->Apply(writes));
   }
+  std::string().swap(sealed_blob_);  // Landed: free the buffer, not just clear.
 
   epochs_closed_->Increment();
-  obs::TraceRing::Global().Record("epoch", "close", "", current_epoch_, count);
+  obs::TraceRing::Global().Record("epoch", "close", "", current_epoch_,
+                                  reports_in_epoch_);
   ++current_epoch_;
   Status rolled;
   {
@@ -238,10 +251,24 @@ Status EpochManager::CloseEpoch() {
   return rolled;
 }
 
+Status EpochManager::RetrySealedEpoch() {
+  if (sealed_blob_.empty()) return Status::OK();
+  obs::Span span(close_spans_.get());
+  span.set_args(current_epoch_, reports_in_epoch_);
+  const Status st = PersistSealedEpoch(span);
+  if (!st.ok() && !sealed_blob_.empty()) {
+    return Status::ResourceExhausted(
+        "EpochManager: epoch " + std::to_string(current_epoch_) +
+        " is not durable yet; ingest paused: " + st.message());
+  }
+  return st;
+}
+
 Status EpochManager::Close() {
   if (!started_ || closed_) {
     return Status::FailedPrecondition("EpochManager: Close outside Start()..");
   }
+  LDPHH_RETURN_IF_ERROR(RetrySealedEpoch());
   if (reports_in_epoch_ > 0) {
     LDPHH_RETURN_IF_ERROR(CloseEpoch());
   }

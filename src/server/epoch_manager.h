@@ -31,6 +31,12 @@
 /// recovery model: clients replay anything submitted after the last
 /// CloseEpoch.
 ///
+/// A close whose store write fails returns that error and keeps the sealed
+/// epoch's blob. The next Submit, SubmitWire, CloseEpoch, PollClock or
+/// Close retries the write first and opens the next epoch only once it
+/// lands; while the retry still fails, the call ingests nothing and returns
+/// kResourceExhausted, which the report server acks as retryable busy.
+///
 /// Ingest: Submit and SubmitWire share one routine that hands the shards
 /// one ShardedAggregator::SubmitBatch per epoch slice. A frame that fits
 /// the open epoch is one slice, enqueued as decoded; a frame that crosses
@@ -49,6 +55,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -110,7 +117,8 @@ class EpochManager {
   /// Snapshots the open epoch's merged aggregator state into the store
   /// under the current epoch id (durable on return, config embedded), then
   /// opens the next epoch. Closing an epoch with zero reports is allowed
-  /// (a quiet period).
+  /// (a quiet period). After a failed close, this call only retries that
+  /// epoch's write.
   Status CloseEpoch();
 
   /// Wall-clock roll for quiet streams: closes the open epoch iff
@@ -151,6 +159,12 @@ class EpochManager {
                EpochManagerOptions options);
 
   Status CheckIngesting() const;
+  /// Persists sealed_blob_ with the epoch clock as one store write, then
+  /// opens the next epoch. A failed write keeps sealed_blob_ for a retry.
+  Status PersistSealedEpoch(obs::Span& span);
+  /// Retries the write of an epoch whose close failed, if any; OK once it
+  /// lands, kResourceExhausted while it still fails.
+  Status RetrySealedEpoch();
   /// The one ingest routine: one SubmitBatch per epoch slice of \p reports,
   /// closing each epoch that fills or outlives epoch_max_duration.
   Status Ingest(const std::vector<WireReport>& reports);
@@ -162,6 +176,9 @@ class EpochManager {
   CheckpointStore* store_;
   EpochManagerOptions options_;
   std::unique_ptr<ShardedAggregator> aggregator_;
+  /// Blob of the sealed epoch current_epoch_ while its store write is
+  /// pending after a failure; empty otherwise.
+  std::string sealed_blob_;
   uint64_t current_epoch_ = 0;
   uint64_t reports_in_epoch_ = 0;
   std::chrono::steady_clock::time_point epoch_opened_at_{};

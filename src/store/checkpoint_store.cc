@@ -14,6 +14,18 @@ namespace ldphh {
 
 namespace {
 
+// The background pass runs once dead records make up at least this share of
+// the sealed segments' bytes. A pass then writes at most half of what it
+// reads, so over any history compaction rewrites at most what clients wrote
+// (docs/storage.md).
+constexpr double kCompactionDeadShare = 0.5;
+
+// On-disk size of one store record: CRC header, (key, sequence), then the
+// blob (empty for a tombstone).
+size_t RecordBytes(size_t blob_bytes) {
+  return kCheckpointRecordHeaderSize + 16 + blob_bytes;
+}
+
 // A fresh id per Open. Entropy from random_device, mixed with the clock in
 // case the device is deterministic on some platform: two incarnations
 // colliding would let a replica trust a rolled-back-and-reissued MANIFEST
@@ -54,6 +66,10 @@ CheckpointStore::CheckpointStore(std::string dir, CheckpointStoreOptions options
       "Record bytes (header + payload) appended to segments", "bytes");
   compactions_ = reg.NewCounter("ldphh_store_compactions_total",
                                 "Compaction passes completed");
+  rewritten_bytes_ = reg.NewCounter(
+      "ldphh_store_rewritten_bytes_total",
+      "Record bytes compaction passes wrote into consolidated segments",
+      "bytes");
   manifest_installs_ = reg.NewCounter("ldphh_store_manifest_installs_total",
                                       "MANIFEST replacements installed");
   recovered_records_ = reg.NewCounter("ldphh_store_recovered_records_total",
@@ -88,6 +104,13 @@ CheckpointStore::CheckpointStore(std::string dir, CheckpointStoreOptions options
   sealed_segments_gauge_ =
       reg.NewGauge("ldphh_store_sealed_segments",
                    "Live segments no longer written to", "segments");
+  sealed_bytes_gauge_ = reg.NewGauge(
+      "ldphh_store_sealed_bytes", "Record bytes in sealed segments", "bytes");
+  dead_bytes_gauge_ = reg.NewGauge(
+      "ldphh_store_dead_bytes",
+      "Dead record bytes in sealed segments (compaction runs at half the "
+      "sealed bytes)",
+      "bytes");
   entries_gauge_ =
       reg.NewGauge("ldphh_store_entries", "Distinct live keys", "keys");
   manifest_sequence_gauge_ =
@@ -110,7 +133,7 @@ StatusOr<std::unique_ptr<CheckpointStore>> CheckpointStore::Open(
     MutexLock lk(&store->mu_);
     LDPHH_RETURN_IF_ERROR(store->Recover());
   }
-  if (options.background_compaction && options.compaction_trigger > 0) {
+  if (options.background_compaction) {
     store->compactor_ = std::thread([s = store.get()] { s->BackgroundLoop(); });
   }
   // Admin-plane registrations, installed only once recovery succeeded (a
@@ -125,6 +148,8 @@ StatusOr<std::unique_ptr<CheckpointStore>> CheckpointStore::Open(
         w.Key("sync_mode").String(SyncModeName(s->options_.sync_mode));
         w.Key("live_segments").Uint(stats.live_segments);
         w.Key("sealed_segments").Uint(stats.sealed_segments);
+        w.Key("sealed_bytes").Uint(stats.sealed_bytes);
+        w.Key("dead_bytes").Uint(stats.dead_bytes);
         w.Key("entries").Uint(stats.entries);
         w.Key("manifest_sequence").Uint(stats.manifest_sequence);
         w.Key("compactions").Uint(stats.compactions);
@@ -228,6 +253,13 @@ Status CheckpointStore::Recover() {
   const uint64_t max_sequence =
       ResolveReplayedEntries(&entries, tombstones, &entries_);
   next_sequence_ = std::max(next_sequence_, max_sequence + 1);
+  // ReplaySegment recorded each segment's clean record bytes; whatever no
+  // surviving winner accounts for is dead (superseded records, shadowed
+  // entries, every tombstone).
+  for (auto& [seg, bytes] : segment_bytes_) bytes.dead = bytes.bytes;
+  for (const auto& [key, entry] : entries_) {
+    segment_bytes_[entry.segment].dead -= RecordBytes(entry.blob.size());
+  }
 
   // Phase 5: never append after recovered bytes — if the old active segment
   // holds data, seal it and roll a fresh one (invariant I4).
@@ -243,6 +275,7 @@ Status CheckpointStore::Recover() {
     active_segment_ = next_segment_++;
     live_.insert(active_segment_);
   }
+  UpdateSealedBytesLocked();
   // Install a MANIFEST on every recovery, even when nothing rolled (an
   // empty active segment is kept as-is): the bumped install generation
   // tells a tailing replica that a new incarnation owns the directory. A
@@ -279,6 +312,7 @@ Status CheckpointStore::ReplaySegment(uint64_t segment, bool is_active,
                                            entries, tombstones, &replay));
   recovered_records_->Increment(replay.records);
   recovered_bytes_->Increment(replay.clean_end);
+  segment_bytes_[segment].bytes = replay.clean_end;
   dropped_tail_records_->Increment(replay.dropped_tail_records);
   if (replay.dropped_tail_records > 0) {
     obs::TraceRing::Global().Record("store", "recovery_dropped_tail", path,
@@ -366,26 +400,43 @@ Status CheckpointStore::RollActiveLocked() {
   LDPHH_RETURN_IF_ERROR(active_writer_.Close());
   active_segment_ = next_segment_++;
   live_.insert(active_segment_);
+  UpdateSealedBytesLocked();  // The old active segment is sealed now.
   // Listed-then-written (invariant I2): the MANIFEST names the new active
   // segment before the segment file exists.
   LDPHH_RETURN_IF_ERROR(
       InstallManifestLocked(live_, next_segment_, active_segment_));
   LDPHH_RETURN_IF_ERROR(
       active_writer_.Open(PathOf(active_segment_), fs_, options_.sync_mode));
-  active_bytes_ = 0;
   obs::TraceRing::Global().Record("store", "segment_roll", "", active_segment_,
                                   live_.size());
   return Status::OK();
+}
+
+void CheckpointStore::UpdateSealedBytesLocked() {
+  sealed_bytes_ = 0;
+  sealed_dead_bytes_ = 0;
+  for (const auto& [seg, bytes] : segment_bytes_) {
+    if (seg == active_segment_) continue;
+    sealed_bytes_ += bytes.bytes;
+    sealed_dead_bytes_ += bytes.dead;
+  }
+  sealed_bytes_gauge_->Set(static_cast<double>(sealed_bytes_));
+  dead_bytes_gauge_->Set(static_cast<double>(sealed_dead_bytes_));
+}
+
+bool CheckpointStore::GarbageDueLocked() const {
+  return sealed_bytes_ > 0 &&
+         static_cast<double>(sealed_dead_bytes_) >=
+             kCompactionDeadShare * static_cast<double>(sealed_bytes_);
 }
 
 // -------------------------------------------------------------- group lane --
 
 namespace {
 
-/// On-disk size of one encoded store record for a write intent: CRC header
-/// plus the (key, sequence) prefix plus the blob.
+/// On-disk size of one encoded store record for a write intent.
 size_t EncodedSizeOf(const StoreWrite& w) {
-  return kCheckpointRecordHeaderSize + 16 + (w.is_delete ? 0 : w.blob.size());
+  return RecordBytes(w.is_delete ? 0 : w.blob.size());
 }
 
 }  // namespace
@@ -554,12 +605,21 @@ Status CheckpointStore::LeadGroupCommit(PendingWrite* self, obs::Span& span) {
 
   // Durable: apply the group in memory in sequence order, then wake the
   // members. The reserved sequences are contiguous from first_sequence.
+  // Each intent kills the record its key won with; a tombstone is dead the
+  // moment it is written.
+  SegmentBytes& active = segment_bytes_[active_segment_];
   uint64_t sequence = first_sequence;
   for (PendingWrite* w : group) {
     for (size_t i = 0; i < w->count; ++i) {
       const StoreWrite& intent = w->writes[i];
+      const auto it = entries_.find(intent.key);
+      if (it != entries_.end()) {
+        segment_bytes_[it->second.segment].dead +=
+            RecordBytes(it->second.blob.size());
+      }
       if (intent.is_delete) {
-        entries_.erase(intent.key);
+        if (it != entries_.end()) entries_.erase(it);
+        active.dead += RecordBytes(0);
       } else {
         StoreSegmentEntry entry;
         entry.sequence = sequence;
@@ -570,7 +630,8 @@ Status CheckpointStore::LeadGroupCommit(PendingWrite* self, obs::Span& span) {
       ++sequence;
     }
   }
-  active_bytes_ += encoded.size();
+  active.bytes += encoded.size();
+  UpdateSealedBytesLocked();
   appended_bytes_->Increment(encoded.size());
   entries_gauge_->Set(static_cast<double>(entries_.size()));
   group_commits_->Increment();
@@ -579,7 +640,7 @@ Status CheckpointStore::LeadGroupCommit(PendingWrite* self, obs::Span& span) {
   group_size_->Observe(records);
 
   Status rolled;
-  if (active_bytes_ >= options_.segment_max_bytes) {
+  if (active.bytes >= options_.segment_max_bytes) {
     const obs::Span::ChildScope roll = span.Child("roll");
     rolled = RollActiveLocked();
   }
@@ -600,13 +661,9 @@ Status CheckpointStore::LeadGroupCommit(PendingWrite* self, obs::Span& span) {
 void CheckpointStore::MaybeSignalCompaction() {
   // Without a background worker nobody waits on work_cv_ for this signal,
   // so skip the extra trip through the (write-contended) store mutex.
-  if (!options_.background_compaction || options_.compaction_trigger <= 0) {
-    return;
-  }
+  if (!options_.background_compaction) return;
   MutexLock lk(&mu_);
-  if (SealedCountLocked() >= std::max(options_.compaction_trigger, 2)) {
-    work_cv_.Signal();
-  }
+  if (GarbageDueLocked()) work_cv_.Signal();
 }
 
 Status CheckpointStore::Put(uint64_t key, std::string_view blob) {
@@ -716,6 +773,8 @@ CheckpointStoreStats CheckpointStore::Stats() const {
   s.manifest_sequence = manifest_sequence_;
   s.group_commits = group_commits_->Value();
   s.group_commit_writes = group_commit_writes_->Value();
+  s.sealed_bytes = sealed_bytes_;
+  s.dead_bytes = sealed_dead_bytes_;
   return s;
 }
 
@@ -742,11 +801,9 @@ Status CheckpointStore::CompactPass(bool respect_trigger) {
     for (uint64_t seg : live_) {
       if (seg != active_segment_) inputs.insert(seg);
     }
-    const size_t min_inputs =
-        respect_trigger
-            ? static_cast<size_t>(std::max(options_.compaction_trigger, 2))
-            : 1;
-    if (inputs.size() < min_inputs) return Status::OK();
+    if (inputs.empty() || (respect_trigger && !GarbageDueLocked())) {
+      return Status::OK();
+    }
     for (const auto& [key, state] : entries_) {
       if (inputs.count(state.segment) != 0) {
         records.push_back(Record{key, state.sequence, state.blob});
@@ -773,6 +830,7 @@ Status CheckpointStore::CompactPass(bool respect_trigger) {
     return st;
   };
   const bool have_output = !records.empty();
+  uint64_t out_bytes = 0;
   if (have_output) {
     CheckpointWriter writer;
     Status st = writer.Open(PathOf(out_segment), fs_, options_.sync_mode);
@@ -784,10 +842,12 @@ Status CheckpointStore::CompactPass(bool respect_trigger) {
       PutU64(&payload, r.sequence);
       payload.append(r.blob);
       st = writer.Append(kStoreEntryRecord, payload);
+      out_bytes += RecordBytes(r.blob.size());
     }
     if (st.ok()) st = writer.Sync();
     if (st.ok()) st = writer.Close();
     if (!st.ok()) return done(st);
+    rewritten_bytes_->Increment(out_bytes);
     obs::TraceRing::Global().Record("store", "compaction_phase_a", "",
                                     out_segment, records.size());
   }
@@ -815,9 +875,21 @@ Status CheckpointStore::CompactPass(bool respect_trigger) {
     }
 
     live_ = std::move(new_live);
+    // An output record whose key got a new winner (or was deleted) while
+    // the pass ran is dead on arrival: count only the re-pointed winners
+    // as live.
+    uint64_t out_live = 0;
     for (auto& [key, state] : entries_) {
-      if (inputs.count(state.segment) != 0) state.segment = out_segment;
+      if (inputs.count(state.segment) == 0) continue;
+      state.segment = out_segment;
+      out_live += RecordBytes(state.blob.size());
     }
+    for (uint64_t seg : inputs) segment_bytes_.erase(seg);
+    if (have_output) {
+      segment_bytes_[out_segment] =
+          SegmentBytes{out_bytes, out_bytes - out_live};
+    }
+    UpdateSealedBytesLocked();
     const uint64_t installed_sequence = manifest_sequence_;
     mu_.Unlock();
     compactions_->Increment();
@@ -847,10 +919,9 @@ Status CheckpointStore::CompactPass(bool respect_trigger) {
 }
 
 void CheckpointStore::BackgroundLoop() {
-  const int trigger = std::max(options_.compaction_trigger, 2);
   mu_.Lock();
   while (!stop_) {
-    if (SealedCountLocked() >= trigger && !compacting_) {
+    if (GarbageDueLocked() && !compacting_) {
       mu_.Unlock();
       const Status st = CompactPass(/*respect_trigger=*/true);
       mu_.Lock();
@@ -866,14 +937,11 @@ void CheckpointStore::BackgroundLoop() {
 }
 
 Status CheckpointStore::WaitForCompaction() {
-  const int trigger = std::max(options_.compaction_trigger, 2);
-  const bool background =
-      options_.background_compaction && options_.compaction_trigger > 0;
   MutexLock lk(&mu_);
   const auto idle = [&]() REQUIRES(mu_) {
     if (compacting_) return false;
-    if (!background) return true;
-    return stop_ || SealedCountLocked() < trigger;
+    if (!options_.background_compaction) return true;
+    return stop_ || !GarbageDueLocked();
   };
   while (!idle()) idle_cv_.Wait();
   return Status::OK();

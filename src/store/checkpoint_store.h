@@ -22,6 +22,10 @@
 /// into one consolidated snapshot segment — last write per key wins, by
 /// global sequence number; deleted keys vanish — then atomically installs
 /// a MANIFEST listing the new segment set and deletes the superseded files.
+/// The background pass runs only once dead records (superseded, deleted,
+/// or tombstones) make up at least half of the sealed segments' bytes, so
+/// write-once history is never recopied and compaction rewrites at most
+/// what clients wrote (docs/storage.md derives the bound).
 ///
 /// Crash-safety invariants (docs/storage.md derives them in full):
 ///   I1. The MANIFEST is only ever replaced atomically: written complete to
@@ -90,11 +94,9 @@ namespace ldphh {
 struct CheckpointStoreOptions {
   /// Seal the active segment once it exceeds this many bytes.
   size_t segment_max_bytes = 1 << 20;
-  /// Background compaction runs when this many sealed segments are live.
-  /// Foreground Compact() ignores the trigger.
-  int compaction_trigger = 4;
-  /// Spawn the background compaction thread. Off, compaction only happens
-  /// via explicit Compact() calls.
+  /// Spawn the background compaction thread, which compacts once half of
+  /// the sealed bytes are dead. Off, compaction only happens via explicit
+  /// Compact() calls.
   bool background_compaction = true;
   /// How far an acknowledged write is pushed toward the platter before
   /// Put/Delete/CloseEpoch return. kFull/kData: power-loss durable (fsync /
@@ -137,6 +139,9 @@ struct CheckpointStoreStats {
                                  ///< issued) since Open.
   uint64_t group_commit_writes = 0;  ///< Write intents acknowledged since
                                      ///< Open (every write rides the lane).
+  uint64_t sealed_bytes = 0;     ///< Record bytes in sealed segments.
+  uint64_t dead_bytes = 0;       ///< Of those, bytes of dead records — the
+                                 ///< background compaction trigger's input.
 };
 
 /// \brief The durable keyed blob store.
@@ -207,12 +212,13 @@ class CheckpointStore {
   std::vector<uint64_t> Keys() const;
 
   /// Merges every sealed segment into one consolidated snapshot segment and
-  /// deletes the inputs. No-op with fewer than two sealed segments (unless
-  /// they hold superseded or deleted data worth dropping).
+  /// deletes the inputs, whatever their dead share. No-op without sealed
+  /// segments.
   Status Compact();
 
   /// Blocks until no compaction is running and, if the background thread is
-  /// enabled, the trigger condition is not met. For tests and benchmarks.
+  /// enabled, less than half of the sealed bytes are dead. For tests and
+  /// benchmarks.
   Status WaitForCompaction();
 
   CheckpointStoreStats Stats() const;
@@ -253,6 +259,12 @@ class CheckpointStore {
       REQUIRES(mu_);
   /// Seals the active segment and opens a fresh one. Caller holds mu_.
   Status RollActiveLocked() REQUIRES(mu_);
+  /// Re-sums the sealed segments' bytes after segment_bytes_ or the active
+  /// segment changed, and publishes them to the gauges.
+  void UpdateSealedBytesLocked() REQUIRES(mu_);
+  /// The background compaction trigger: at least half of the sealed bytes
+  /// are dead.
+  bool GarbageDueLocked() const REQUIRES(mu_);
   /// One writer parked in the group-commit queue: its intents, their
   /// pre-computed on-disk size, and the condition it sleeps on until the
   /// group leader reports the outcome.
@@ -280,8 +292,8 @@ class CheckpointStore {
   /// queue-front position is the exclusive-writer token while unlocked),
   /// applies the group in memory, and wakes every member.
   Status LeadGroupCommit(PendingWrite* self, obs::Span& span) REQUIRES(mu_);
-  /// Wakes the background compactor if the sealed-segment trigger is met.
-  /// Commit calls it after the lane released mu_.
+  /// Wakes the background compactor if the garbage trigger is met. Commit
+  /// calls it after the lane released mu_.
   void MaybeSignalCompaction();
 
   /// Latches \p status as the store's write health: an error makes
@@ -308,7 +320,18 @@ class CheckpointStore {
   /// Live segment numbers (incl. active).
   std::set<uint64_t> live_ GUARDED_BY(mu_);
   uint64_t active_segment_ GUARDED_BY(mu_) = 0;
-  size_t active_bytes_ GUARDED_BY(mu_) = 0;
+  /// Record bytes one live segment holds, and how many of them belong to
+  /// dead records: superseded, deleted, or tombstones.
+  struct SegmentBytes {
+    uint64_t bytes = 0;
+    uint64_t dead = 0;
+  };
+  /// Per live segment that holds records (the active one gains its entry
+  /// with its first group); compaction erases its inputs' entries.
+  std::map<uint64_t, SegmentBytes> segment_bytes_ GUARDED_BY(mu_);
+  /// Sums of segment_bytes_ over the sealed segments (all but the active).
+  uint64_t sealed_bytes_ GUARDED_BY(mu_) = 0;
+  uint64_t sealed_dead_bytes_ GUARDED_BY(mu_) = 0;
   uint64_t next_segment_ GUARDED_BY(mu_) = 1;
   uint64_t next_sequence_ GUARDED_BY(mu_) = 1;
   uint64_t manifest_sequence_ GUARDED_BY(mu_) = 0;
@@ -336,6 +359,7 @@ class CheckpointStore {
   std::shared_ptr<obs::Counter> deletes_;
   std::shared_ptr<obs::Counter> appended_bytes_;
   std::shared_ptr<obs::Counter> compactions_;
+  std::shared_ptr<obs::Counter> rewritten_bytes_;
   std::shared_ptr<obs::Counter> manifest_installs_;
   std::shared_ptr<obs::Counter> recovered_records_;
   std::shared_ptr<obs::Counter> recovered_bytes_;
@@ -348,6 +372,8 @@ class CheckpointStore {
   std::shared_ptr<obs::Histogram> compaction_duration_ns_;
   std::shared_ptr<obs::Gauge> live_segments_gauge_;
   std::shared_ptr<obs::Gauge> sealed_segments_gauge_;
+  std::shared_ptr<obs::Gauge> sealed_bytes_gauge_;
+  std::shared_ptr<obs::Gauge> dead_bytes_gauge_;
   std::shared_ptr<obs::Gauge> entries_gauge_;
   std::shared_ptr<obs::Gauge> manifest_sequence_gauge_;
 

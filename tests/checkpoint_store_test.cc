@@ -8,6 +8,8 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -16,6 +18,9 @@
 #include <vector>
 
 #include "src/common/fault_fs.h"
+#include "src/obs/json_reader.h"
+#include "src/obs/metrics.h"
+#include "src/obs/statusz.h"
 
 namespace fs = std::filesystem;
 
@@ -143,18 +148,267 @@ TEST_F(CheckpointStoreTest, CompactionConsolidatesAndDeletesInputs) {
   EXPECT_FALSE(reopened->Contains(4));
 }
 
-TEST_F(CheckpointStoreTest, BackgroundCompactionTriggers) {
+// Bytes of one store record holding a Blob(k) (k < 10^9): CRC header,
+// (key, sequence), 40-byte blob.
+constexpr uint64_t kBlobRecordBytes = kCheckpointRecordHeaderSize + 16 + 40;
+constexpr uint64_t kTombstoneBytes = kCheckpointRecordHeaderSize + 16;
+
+// The background pass waits for garbage: live history is never recopied,
+// however many segments it spans; once at least half of the sealed bytes
+// are dead, a pass runs and leaves less than half dead.
+TEST_F(CheckpointStoreTest, BackgroundCompactionWaitsForHalfDead) {
   CheckpointStoreOptions o;
-  o.segment_max_bytes = 256;
+  o.segment_max_bytes = 256;  // Four Blob records per segment.
   o.background_compaction = true;
-  o.compaction_trigger = 3;
   auto store = MustOpen(o);
   for (uint64_t k = 0; k < 200; ++k) ASSERT_TRUE(store->Put(k, Blob(k)).ok());
   ASSERT_TRUE(store->WaitForCompaction().ok());
-  const auto stats = store->Stats();
+  CheckpointStoreStats stats = store->Stats();
+  EXPECT_EQ(stats.compactions, 0u);
+  EXPECT_EQ(stats.sealed_segments, 50u);  // Every roll's segment still listed.
+  EXPECT_EQ(SegmentFilesOnDisk(), stats.live_segments);
+  EXPECT_EQ(stats.sealed_bytes, 200 * kBlobRecordBytes);
+  EXPECT_EQ(stats.dead_bytes, 0u);
+
+  // Overwrite half the keys and delete the other half.
+  for (uint64_t k = 0; k < 100; ++k) {
+    ASSERT_TRUE(store->Put(k, Blob(k + 1000)).ok());
+  }
+  for (uint64_t k = 100; k < 200; ++k) ASSERT_TRUE(store->Delete(k).ok());
+  ASSERT_TRUE(store->WaitForCompaction().ok());
+  stats = store->Stats();
   EXPECT_GE(stats.compactions, 1u);
-  EXPECT_LT(stats.sealed_segments, 3u);
-  for (uint64_t k = 0; k < 200; ++k) EXPECT_TRUE(store->Contains(k));
+  EXPECT_GT(stats.sealed_bytes, 0u);
+  EXPECT_LT(2 * stats.dead_bytes, stats.sealed_bytes);
+  EXPECT_EQ(SegmentFilesOnDisk(), stats.live_segments);
+  std::string blob;
+  for (uint64_t k = 0; k < 100; ++k) {
+    ASSERT_TRUE(store->Get(k, &blob).ok()) << k;
+    EXPECT_EQ(blob, Blob(k + 1000)) << k;
+  }
+  for (uint64_t k = 100; k < 200; ++k) EXPECT_FALSE(store->Contains(k)) << k;
+  store.reset();
+  auto reopened = MustOpen(SmallSegments());
+  EXPECT_EQ(reopened->Keys().size(), 100u);
+  ASSERT_TRUE(reopened->Get(99, &blob).ok());
+  EXPECT_EQ(blob, Blob(1099));
+}
+
+// Recovery re-derives the dead-byte bookkeeping from the segments alone and
+// lands on exactly what the write path counted: superseded and deleted
+// records plus every tombstone.
+TEST_F(CheckpointStoreTest, DeadBytesMatchAcrossReopenAndCompaction) {
+  CheckpointStoreStats before;
+  {
+    auto store = MustOpen(SmallSegments());
+    for (uint64_t k = 0; k < 200; ++k) {
+      ASSERT_TRUE(store->Put(k, Blob(k)).ok());
+    }
+    // Four overwrites fill (and seal) exactly one segment.
+    for (uint64_t k = 0; k < 4; ++k) {
+      ASSERT_TRUE(store->Put(k, Blob(k + 1000)).ok());
+    }
+    before = store->Stats();
+    EXPECT_EQ(before.sealed_bytes, 204 * kBlobRecordBytes);
+    EXPECT_EQ(before.dead_bytes, 4 * kBlobRecordBytes);
+    // Two deletes leave their tombstones in the (unsealed) active segment.
+    ASSERT_TRUE(store->Delete(10).ok());
+    ASSERT_TRUE(store->Delete(11).ok());
+    before = store->Stats();
+    EXPECT_EQ(before.dead_bytes, 6 * kBlobRecordBytes);
+  }
+  auto store = MustOpen(SmallSegments());
+  // Open sealed the old active segment: its tombstones join the count.
+  const CheckpointStoreStats after = store->Stats();
+  EXPECT_EQ(after.sealed_bytes, before.sealed_bytes + 2 * kTombstoneBytes);
+  EXPECT_EQ(after.dead_bytes, before.dead_bytes + 2 * kTombstoneBytes);
+
+  ASSERT_TRUE(store->Compact().ok());
+  const CheckpointStoreStats compacted = store->Stats();
+  EXPECT_EQ(compacted.dead_bytes, 0u);
+  EXPECT_EQ(compacted.sealed_bytes, 198 * kBlobRecordBytes);
+}
+
+double ScrapeMetric(const std::string& name) {
+  const std::string text = obs::MetricsRegistry::Global().DumpText();
+  const std::string prefix = "\n" + name + " ";
+  const size_t at = text.find(prefix);
+  return at == std::string::npos
+             ? -1.0
+             : std::stod(text.substr(at + prefix.size()));
+}
+
+// Garbage is observable: /statusz shows the trigger's input next to the
+// sealed bytes it is compared against, and the rewritten-byte counter
+// grows by exactly what a pass writes.
+TEST_F(CheckpointStoreTest, GarbageIsObservable) {
+  auto store = MustOpen(SmallSegments());
+  for (uint64_t k = 0; k < 8; ++k) ASSERT_TRUE(store->Put(k, Blob(k)).ok());
+  for (uint64_t k = 0; k < 4; ++k) {
+    ASSERT_TRUE(store->Put(k, Blob(k + 1000)).ok());
+  }
+  const CheckpointStoreStats stats = store->Stats();
+  ASSERT_EQ(stats.sealed_bytes, 12 * kBlobRecordBytes);
+  ASSERT_EQ(stats.dead_bytes, 4 * kBlobRecordBytes);
+
+  obs::JsonValue statusz;
+  ASSERT_TRUE(
+      obs::ParseJson(obs::StatuszRegistry::Global().DumpJson(), &statusz).ok());
+  const obs::JsonValue* sections = statusz.Find("sections");
+  ASSERT_NE(sections, nullptr);
+  const obs::JsonValue* stores = sections->Find("store");
+  ASSERT_NE(stores, nullptr);
+  const obs::JsonValue* mine = nullptr;
+  for (const obs::JsonValue& section : stores->array) {
+    const obs::JsonValue* dir = section.Find("dir");
+    if (dir != nullptr && dir->string_value == dir_) mine = &section;
+  }
+  ASSERT_NE(mine, nullptr);
+  ASSERT_NE(mine->Find("dead_bytes"), nullptr);
+  EXPECT_EQ(mine->Find("dead_bytes")->number_value,
+            static_cast<double>(stats.dead_bytes));
+  ASSERT_NE(mine->Find("sealed_bytes"), nullptr);
+  EXPECT_EQ(mine->Find("sealed_bytes")->number_value,
+            static_cast<double>(stats.sealed_bytes));
+
+  ASSERT_GE(ScrapeMetric("ldphh_store_dead_bytes"), 0.0);
+  ASSERT_GE(ScrapeMetric("ldphh_store_sealed_bytes"), 0.0);
+  const double rewritten = ScrapeMetric("ldphh_store_rewritten_bytes_total");
+  ASSERT_GE(rewritten, 0.0);
+  ASSERT_TRUE(store->Compact().ok());
+  EXPECT_EQ(ScrapeMetric("ldphh_store_rewritten_bytes_total") - rewritten,
+            static_cast<double>(8 * kBlobRecordBytes));
+  EXPECT_EQ(store->Stats().dead_bytes, 0u);
+}
+
+// Counts every byte appended to any file — segments and MANIFESTs alike —
+// on its way to the wrapped filesystem.
+class ByteCountingFileSystem : public FileSystem {
+ public:
+  explicit ByteCountingFileSystem(FileSystem* base) : base_(base) {}
+  uint64_t bytes_written() const { return bytes_written_.load(); }
+
+  StatusOr<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    auto file_or = base_->NewWritableFile(path);
+    LDPHH_RETURN_IF_ERROR(file_or.status());
+    return std::unique_ptr<WritableFile>(
+        new CountingFile(std::move(file_or).value(), &bytes_written_));
+  }
+  StatusOr<std::unique_ptr<SequentialFile>> NewSequentialFile(
+      const std::string& path) override {
+    return base_->NewSequentialFile(path);
+  }
+  StatusOr<bool> FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  StatusOr<uint64_t> FileSize(const std::string& path) override {
+    return base_->FileSize(path);
+  }
+  Status ListDirectory(const std::string& dir,
+                       std::vector<std::string>* names) override {
+    return base_->ListDirectory(dir, names);
+  }
+  Status Truncate(const std::string& path, uint64_t size) override {
+    return base_->Truncate(path, size);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Status CreateDirectories(const std::string& dir) override {
+    return base_->CreateDirectories(dir);
+  }
+  Status SyncDirectory(const std::string& dir) override {
+    return base_->SyncDirectory(dir);
+  }
+
+ private:
+  class CountingFile : public WritableFile {
+   public:
+    CountingFile(std::unique_ptr<WritableFile> base,
+                 std::atomic<uint64_t>* bytes)
+        : base_(std::move(base)), bytes_(bytes) {}
+    Status Append(std::string_view data) override {
+      bytes_->fetch_add(data.size());
+      return base_->Append(data);
+    }
+    Status Flush() override { return base_->Flush(); }
+    Status Sync(SyncMode mode) override { return base_->Sync(mode); }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    std::unique_ptr<WritableFile> base_;
+    std::atomic<uint64_t>* bytes_;
+  };
+
+  FileSystem* const base_;
+  std::atomic<uint64_t> bytes_written_{0};
+};
+
+// Write amplification on the epoch layer's pattern: 1000 write-once 64 KB
+// blobs, each committed with an overwrite of one clock key, into 256 KB
+// segments with the background compactor on. Every 50 epochs the bytes
+// written to files (segments, compaction output, MANIFESTs) per blob byte
+// the client wrote must stay under \p bound — flat in history length.
+// With \p retain > 0, epoch e - retain is deleted after epoch e (sliding
+// retention), so garbage accrues and passes must run.
+void ExpectBoundedWriteAmplification(uint64_t retain, double bound) {
+  constexpr uint64_t kEpochs = 1000;
+  constexpr uint64_t kClockKey = UINT64_MAX;
+  FaultInjectingFileSystem ffs;
+  ByteCountingFileSystem counting(&ffs);
+  CheckpointStoreOptions o;
+  o.segment_max_bytes = 256 << 10;
+  o.background_compaction = true;
+  // Durability plays no part in the byte count; kNone spares the fault
+  // filesystem a durable copy of every file.
+  o.sync_mode = SyncMode::kNone;
+  o.file_system = &counting;
+  auto store_or = CheckpointStore::Open("/faultfs/write_amp", o);
+  ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
+  auto store = std::move(store_or).value();
+
+  const std::string blob(64 << 10, 'e');
+  uint64_t client_bytes = 0;
+  for (uint64_t e = 0; e < kEpochs; ++e) {
+    std::string clock(8, '\0');
+    std::memcpy(clock.data(), &e, sizeof(e));
+    std::vector<StoreWrite> writes(2);
+    writes[0].key = e;
+    writes[0].blob = blob;
+    writes[1].key = kClockKey;
+    writes[1].blob = clock;
+    ASSERT_TRUE(store->Apply(writes).ok()) << "epoch " << e;
+    client_bytes += blob.size() + clock.size();
+    if (retain > 0 && e >= retain) {
+      ASSERT_TRUE(store->Delete(e - retain).ok()) << "epoch " << e;
+    }
+    if ((e + 1) % 50 == 0) {
+      ASSERT_TRUE(store->WaitForCompaction().ok());
+      const double amp = static_cast<double>(counting.bytes_written()) /
+                         static_cast<double>(client_bytes);
+      EXPECT_LE(amp, bound) << "after " << e + 1 << " epochs, "
+                            << store->Stats().compactions << " passes";
+    }
+  }
+  EXPECT_EQ(store->Keys().size(),
+            (retain > 0 ? retain : kEpochs) + 1);  // Plus the clock key.
+  if (retain > 0) {
+    EXPECT_GE(store->Stats().compactions, 1u);
+  } else {
+    EXPECT_EQ(store->Stats().compactions, 0u);
+  }
+}
+
+TEST_F(CheckpointStoreTest, WriteOnceHistoryIsNeverRecopied) {
+  ExpectBoundedWriteAmplification(/*retain=*/0, /*bound=*/1.05);
+}
+
+TEST_F(CheckpointStoreTest, SlidingRetentionRewritesAtMostWhatClientsWrote) {
+  ExpectBoundedWriteAmplification(/*retain=*/50, /*bound=*/2.1);
 }
 
 TEST_F(CheckpointStoreTest, ConcurrentPutsDuringCompactionLoseNothing) {

@@ -633,6 +633,66 @@ TEST_F(EpochManagerTest, CloseEpochPaysOneFileSync) {
   ASSERT_TRUE(mgr->Close().ok());
 }
 
+// A close whose store write fails must not wedge ingest. The sealed epoch
+// is kept; while the fault lasts every later call retries its write and
+// answers busy without ingesting; once the write lands the epoch persists
+// holding exactly its own reports, and ingest carries on.
+TEST_F(EpochManagerTest, FailedCloseIsRetriedThenIngestResumes) {
+  const ProtocolConfig config = OracleConfig("hadamard_response", 64, 1.0);
+  constexpr uint64_t kEpoch = 100;
+  const auto reports = EncodeReports(config, 3 * kEpoch, 29);
+  FaultInjectingFileSystem fault_fs;
+  CheckpointStoreOptions store_opts;
+  store_opts.file_system = &fault_fs;
+  auto store_or = CheckpointStore::Open("/faultfs/failed_close", store_opts);
+  ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
+  auto store = std::move(store_or).value();
+  EpochManagerOptions opts;
+  opts.reports_per_epoch = kEpoch;
+  opts.aggregator.num_shards = 2;
+  auto mgr = OpenManager(config, store.get(), opts);
+  ASSERT_TRUE(mgr->Start().ok());
+  for (uint64_t i = 0; i + 1 < kEpoch; ++i) {
+    ASSERT_TRUE(mgr->Submit(reports[i]).ok());
+  }
+
+  fault_fs.set_fail_file_syncs(true);
+  const Status failed = mgr->Submit(reports[kEpoch - 1]);  // Fills epoch 0.
+  EXPECT_EQ(failed.code(), StatusCode::kInternal) << failed.ToString();
+  EXPECT_EQ(mgr->Submit(reports[kEpoch]).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(mgr->SubmitWire(Frame(config, reports, kEpoch, kEpoch + 7)).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(mgr->CloseEpoch().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(mgr->PollClock().status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(mgr->Close().code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(mgr->PersistedEpochs().empty());
+  EXPECT_EQ(mgr->current_epoch(), 0u);
+
+  fault_fs.set_fail_file_syncs(false);
+  // The first call lands epoch 0, then ingests into epoch 1.
+  ASSERT_TRUE(mgr->SubmitWire(Frame(config, reports, kEpoch, kEpoch + 7)).ok());
+  EXPECT_EQ(mgr->current_epoch(), 1u);
+  EXPECT_EQ(mgr->reports_in_current_epoch(), 7u);
+  for (uint64_t i = kEpoch + 7; i < 3 * kEpoch; ++i) {
+    ASSERT_TRUE(mgr->Submit(reports[i]).ok()) << "report " << i;
+  }
+  ASSERT_EQ(mgr->PersistedEpochs(), (std::vector<uint64_t>{0, 1, 2}));
+  for (uint64_t e = 0; e < 3; ++e) {
+    EXPECT_EQ(PersistedReportCount(*store, e), kEpoch) << "epoch " << e;
+    auto window_or = mgr->WindowedQuery(e, e);
+    ASSERT_TRUE(window_or.ok()) << window_or.status().ToString();
+    auto window = std::move(window_or).value();
+    auto want = DirectAggregate(config, reports, e * kEpoch, (e + 1) * kEpoch);
+    std::string got_state, want_state;
+    ASSERT_TRUE(window->SerializeState(&got_state).ok());
+    ASSERT_TRUE(want->SerializeState(&want_state).ok());
+    EXPECT_EQ(got_state, want_state) << "epoch " << e;
+    ExpectSameEstimates(*window, *want);
+  }
+  ASSERT_TRUE(mgr->Close().ok());
+}
+
 // The ISSUE acceptance criterion: a kill at every compaction phase loses no
 // closed epoch — the windowed query over all epochs still matches the fresh
 // aggregation bit for bit after recovery.

@@ -377,7 +377,6 @@ TEST(Exposition, EveryExportedNameAppearsInDumpText) {
   fs::remove_all(dir);
   CheckpointStoreOptions store_opts;
   store_opts.segment_max_bytes = 8 << 10;
-  store_opts.compaction_trigger = 2;
   auto store = std::move(CheckpointStore::Open(dir, store_opts)).value();
   EpochManagerOptions epoch_opts;
   epoch_opts.reports_per_epoch = 512;
@@ -407,6 +406,9 @@ TEST(Exposition, EveryExportedNameAppearsInDumpText) {
            "ldphh_store_group_commits_total",
            "ldphh_store_manifest_installs_total",
            "ldphh_store_manifest_sequence",
+           "ldphh_store_dead_bytes",
+           "ldphh_store_sealed_bytes",
+           "ldphh_store_rewritten_bytes_total",
            // Replica.
            "ldphh_replica_refreshes_total",
            "ldphh_replica_snapshots_installed_total",

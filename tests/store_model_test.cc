@@ -107,7 +107,6 @@ class ModelRun {
   void Reopen(const std::string& context) {
     CheckpointStoreOptions o;
     o.segment_max_bytes = 300;  // A handful of records per segment.
-    o.compaction_trigger = 3;
     // Background compaction on odd seeds: the random walk also races the
     // compactor thread. Durability mode per backend: the POSIX run models
     // process crashes (no power loss), so flush-grade is enough and keeps
@@ -209,7 +208,6 @@ void RunConcurrentWalk(const std::string& dir,
 
   CheckpointStoreOptions o;
   o.segment_max_bytes = 1 << 10;  // Rolls mid-walk, also mid-group.
-  o.compaction_trigger = 3;
   o.background_compaction = true;
   o.sync_mode = fault_fs != nullptr ? SyncMode::kFull : SyncMode::kNone;
   o.file_system = fault_fs;
